@@ -5,6 +5,10 @@
 //! descriptions*) and for payload checksums (hashes of artifact *bytes*).
 //! A 256-bit digest makes accidental collisions a non-concern at any
 //! realistic experiment-matrix size.
+//!
+//! The block compress runs on the x86-64 SHA extensions when the CPU has
+//! them, detected at run time, and in portable Rust otherwise. Both give
+//! the same digests, so keys and stored objects do not depend on the CPU.
 
 /// A 256-bit digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,7 +90,91 @@ impl Sha256 {
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Feeds `data` into the hash.
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress);
+    }
+
+    /// Finishes the hash and returns the digest.
+    #[must_use]
+    pub fn finish(self) -> Digest {
+        self.pad(compress)
+    }
+
+    /// One-shot digest of `data`.
+    #[must_use]
+    pub fn digest(data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finish()
+    }
+
+    /// [`update`](Sha256::update) over a given block compress. Every whole
+    /// block of `data` goes to one `compress` call, so an accelerated
+    /// compress keeps the state in registers across them.
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut rest = data;
+        if self.buf_len > 0 {
+            let take = rest.len().min(64 - self.buf_len);
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
+            self.buf_len += take;
+            rest = &rest[take..];
+            if self.buf_len < 64 {
+                return;
+            }
+            compress(&mut self.h, &self.buf);
+            self.buf_len = 0;
+        }
+        let whole = rest.len() - rest.len() % 64;
+        if whole > 0 {
+            compress(&mut self.h, &rest[..whole]);
+        }
+        rest = &rest[whole..];
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
+    }
+
+    /// [`finish`](Sha256::finish) over a given block compress: appends the
+    /// `0x80` marker, zeros and the big-endian bit length to the buffered
+    /// tail, giving one block, or two when fewer than 9 bytes are left.
+    fn pad(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
+        let bit_len = self.total_len.wrapping_mul(8);
+        let n = self.buf_len;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buf[..n]);
+        tail[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.h, &tail[..end]);
+        let mut out = [0u8; 32];
+        for (chunk, v) in out.chunks_exact_mut(4).zip(self.h) {
+            chunk.copy_from_slice(&v.to_be_bytes());
+        }
+        Digest(out)
+    }
+}
+
+/// Compresses every 64-byte block of `blocks` into `state`, with the SHA
+/// extensions when this CPU has them and portably otherwise. There is no
+/// option to choose: both give the same state.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available` just confirmed that this CPU supports every
+        // target feature `shani::compress` enables.
+        unsafe { shani::compress(state, blocks) };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 compress in plain Rust: the only path on CPUs without
+/// the SHA extensions, and the reference the tests hold the accelerated
+/// path to.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -99,7 +187,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -120,92 +208,227 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
+}
 
-    /// Feeds `data` into the hash.
-    pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = rest.len().min(64 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+/// The compress on the x86-64 SHA extensions (`sha256rnds2`, `sha256msg1`,
+/// `sha256msg2`), after Intel's reference sequence. It keeps the state as
+/// the ABEF/CDGH register pair the instructions expect, and keeps it in
+/// registers for the whole run of blocks.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// Whether this CPU has every feature [`compress`] enables. The
+    /// standard library caches the answer, so this is a load and a test.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses every 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// Callers outside this target feature set must first see
+    /// [`available`] return true: the instructions fault on a CPU without
+    /// them.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+        // Reverses the bytes of each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 readable bytes; `loadu` has no alignment
+        // requirement.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is exactly 64 readable bytes, read as four
+            // unaligned 16-byte loads.
+            let raw = unsafe {
+                let p = block.as_ptr().cast::<__m128i>();
+                [
+                    _mm_loadu_si128(p),
+                    _mm_loadu_si128(p.add(1)),
+                    _mm_loadu_si128(p.add(2)),
+                    _mm_loadu_si128(p.add(3)),
+                ]
+            };
+            let mut w = [
+                _mm_shuffle_epi8(raw[0], bswap),
+                _mm_shuffle_epi8(raw[1], bswap),
+                _mm_shuffle_epi8(raw[2], bswap),
+                _mm_shuffle_epi8(raw[3], bswap),
+            ];
+            // Sixteen groups of four rounds. `w[0]` holds the group's four
+            // message words; the schedule derives each later group's words
+            // from the four groups before it.
+            for group in 0..16 {
+                let k = &K[4 * group..4 * group + 4];
+                let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+                let wk = _mm_add_epi32(w[0], k);
+                // Two rounds each. The first leaves the new ABEF in `cdgh`
+                // and the old ABEF, now the CDGH half, in `abef`; the second
+                // puts each name back on its half.
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                if group < 12 {
+                    let next = _mm_sha256msg2_epu32(
+                        _mm_add_epi32(
+                            _mm_sha256msg1_epu32(w[0], w[1]),
+                            _mm_alignr_epi8(w[3], w[2], 4),
+                        ),
+                        w[3],
+                    );
+                    w = [w[1], w[2], w[3], next];
+                } else {
+                    w = [w[1], w[2], w[3], w[0]];
+                }
             }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        while rest.len() >= 64 {
-            let block: [u8; 64] = rest[..64].try_into().expect("64-byte block");
-            self.compress(&block);
-            rest = &rest[64..];
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
-    }
 
-    /// Finishes the hash and returns the digest.
-    #[must_use]
-    pub fn finish(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; `storeu` has no alignment
+        // requirement.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgfe);
         }
-        // Manual length append: `update` would recount these bytes.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (chunk, v) in out.chunks_exact_mut(4).zip(self.h) {
-            chunk.copy_from_slice(&v.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    /// One-shot digest of `data`.
-    #[must_use]
-    pub fn digest(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Compress = fn(&mut [u32; 8], &[u8]);
 
     // NIST FIPS 180-4 test vectors.
-    #[test]
-    fn empty_input_matches_nist_vector() {
-        assert_eq!(
-            Sha256::digest(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    const NIST: [(&[u8], &str); 3] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ];
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+    /// Digests of `n` bytes of `a`, from coreutils `sha256sum`. They sit on
+    /// the padding boundaries: 55 bytes is the longest tail that pads to one
+    /// block, 56 and 63 need a second block, 64 is a whole block plus an
+    /// all-padding block, and 119 is 55 past a block.
+    const RUNS_OF_A: [(usize, &str); 5] = [
+        (
+            55,
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+        ),
+        (
+            56,
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+        ),
+        (
+            63,
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+        ),
+        (
+            64,
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+        ),
+        (
+            119,
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+        ),
+    ];
+
+    /// Both compress functions by name. The accelerated one is left out,
+    /// with a note that its checks are skipped, on a CPU without the SHA
+    /// extensions.
+    fn compress_fns() -> Vec<(&'static str, Compress)> {
+        let portable: (&'static str, Compress) = ("portable", compress_portable);
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            return vec![
+                portable,
+                ("shani", |state, blocks| {
+                    // SAFETY: this function is only handed out after
+                    // `available` confirmed the CPU has every feature
+                    // `shani::compress` enables.
+                    unsafe { shani::compress(state, blocks) }
+                }),
+            ];
+        }
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        NOTE.call_once(|| eprintln!("skipped: accelerated compress (no SHA extensions)"));
+        vec![portable]
+    }
+
+    /// The digest of `parts`, fed in order to [`Sha256`]'s buffering and
+    /// padding over the given compress.
+    fn digest_with(compress: Compress, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.absorb(part, compress);
+        }
+        h.pad(compress)
+    }
+
+    /// Asserts that `parts`, fed in order, hash to `want` through
+    /// [`Sha256`] and through each compress function.
+    fn assert_digest(parts: &[&[u8]], want: &str) {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update(part);
+        }
+        assert_eq!(h.finish().to_hex(), want);
+        for (name, compress) in compress_fns() {
+            assert_eq!(digest_with(compress, parts).to_hex(), want, "{name}");
+        }
     }
 
     #[test]
-    fn abc_matches_nist_vector() {
-        assert_eq!(
-            Sha256::digest(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn nist_vectors_match_on_every_compress() {
+        for (input, want) in NIST {
+            assert_digest(&[input], want);
+        }
+        assert_digest(&[&[b'a'; 1000][..]; 1000], MILLION_A);
     }
 
     #[test]
-    fn two_block_message_matches_nist_vector() {
-        assert_eq!(
-            Sha256::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn padding_boundaries_match_sha256sum() {
+        for (n, want) in RUNS_OF_A {
+            assert_digest(&[&vec![b'a'; n]], want);
+        }
     }
 
     #[test]
@@ -218,16 +441,26 @@ mod tests {
         assert_eq!(h.finish(), Sha256::digest(&data));
     }
 
-    #[test]
-    fn million_a_matches_nist_vector() {
-        let mut h = Sha256::new();
-        for _ in 0..1000 {
-            h.update(&[b'a'; 1000]);
+    proptest! {
+        /// Any input cut at any points gives one digest on every compress.
+        #[test]
+        fn compress_paths_agree_at_any_split(
+            data in proptest::collection::vec(any::<u8>(), 0..4097),
+            cuts in proptest::collection::vec(0usize..=4096, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::with_capacity(cuts.len() + 1);
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            let want = Sha256::digest(&data);
+            for (name, compress) in compress_fns() {
+                prop_assert_eq!(digest_with(compress, &parts), want, "{}", name);
+            }
         }
-        assert_eq!(
-            h.finish().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]

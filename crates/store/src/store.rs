@@ -727,7 +727,12 @@ fn read_verified(file: &mut std::fs::File, key: &Digest, kind: Kind) -> Result<V
     if payload_len > 1 << 34 {
         return Err(format!("implausible payload length {payload_len}"));
     }
-    let mut payload = Vec::with_capacity(payload_len as usize);
+    // Nor size the buffer from the unverified header: reserve at most what
+    // the file holds past its header.
+    let on_disk = file
+        .metadata()
+        .map_or(0, |m| m.len().saturating_sub(HEADER_LEN as u64));
+    let mut payload = Vec::with_capacity(payload_len.min(on_disk) as usize);
     file.take(payload_len + 1)
         .read_to_end(&mut payload)
         .map_err(|e| format!("payload read: {e}"))?;

@@ -137,6 +137,27 @@ fn truncated_and_garbage_objects_are_misses() {
 }
 
 #[test]
+fn oversized_length_field_is_a_miss_not_an_abort() {
+    let dir = ScratchDir::new("huge-len");
+    let store = Store::open(&dir.0).expect("open");
+    let key = report_key_for(&WorkloadProfile::tiny(1), 1_000);
+    store.put_report(&key, &sample_report());
+
+    // The header's little-endian payload length sits after the 8-byte
+    // magic and the kind byte. 1 << 34 passes the plausibility bound, so
+    // only the file's real size may size the read buffer.
+    let path = find_only_object(&dir.0);
+    let mut bytes = std::fs::read(&path).expect("read object");
+    bytes[9..17].copy_from_slice(&(1u64 << 34).to_le_bytes());
+    std::fs::write(&path, bytes).expect("rewrite object");
+
+    assert!(store.get_report(&key).is_none(), "a bad length is a miss");
+    assert!(!path.exists(), "corrupt entry must be unlinked");
+    store.put_report(&key, &sample_report());
+    assert_eq!(store.get_report(&key), Some(sample_report()));
+}
+
+#[test]
 fn wrong_kind_is_a_miss() {
     let dir = ScratchDir::new("wrong-kind");
     let store = Store::open(&dir.0).expect("open");
