@@ -49,7 +49,9 @@ impl GlobalHistory {
     ///
     /// This is the classic folded-history indexing used by geometric-history
     /// predictors: the history is split into `out_bits`-wide chunks which are
-    /// XORed together.
+    /// XORed together. The perceptron keeps its folds current incrementally
+    /// (see `PerceptronHistory`); this whole-history fold is the reference
+    /// every incremental fold is checked against.
     ///
     /// # Panics
     /// Panics if `out_bits` is 0 or greater than 32, or if `len` exceeds
@@ -82,6 +84,12 @@ impl GlobalHistory {
             acc >>= out_bits;
         }
         folded
+    }
+
+    /// The outcome `n` positions back (0 = most recent) as 0 or 1.
+    #[inline]
+    pub(crate) fn bit(&self, n: usize) -> u64 {
+        (self.words[n >> 6] >> (n & 63)) & 1
     }
 
     /// Extracts `count` bits starting `offset` bits back in history.

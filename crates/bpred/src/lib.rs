@@ -11,10 +11,10 @@
 //!
 //! # Example
 //! ```
-//! use btb_bpred::{GlobalHistory, HashedPerceptron, PerceptronConfig};
+//! use btb_bpred::{HashedPerceptron, PerceptronConfig};
 //!
 //! let mut predictor = HashedPerceptron::new(PerceptronConfig::paper());
-//! let mut history = GlobalHistory::new();
+//! let mut history = predictor.history();
 //! let out = predictor.predict(0x4000, &history);
 //! predictor.update(0x4000, &history, out, true);
 //! history.push(true);
@@ -33,6 +33,7 @@ pub use bimodal::Bimodal;
 pub use history::{GlobalHistory, PathHistory, MAX_HISTORY_BITS};
 pub use indirect::IndirectPredictor;
 pub use perceptron::{
-    history_lengths, HashedPerceptron, PerceptronConfig, PerceptronOutput, MAX_HISTORY, NUM_TABLES,
+    history_lengths, HashedPerceptron, PerceptronConfig, PerceptronHistory, PerceptronOutput,
+    MAX_HISTORY, NUM_TABLES,
 };
 pub use ras::ReturnAddressStack;

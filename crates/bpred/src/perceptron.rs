@@ -6,7 +6,7 @@
 //! perceptron learning over hashed feature tables). The table size scales
 //! down for the Fig. 11b predictor-size sweep.
 
-use crate::history::GlobalHistory;
+use crate::history::{GlobalHistory, MAX_HISTORY_BITS};
 
 /// Number of feature tables.
 pub const NUM_TABLES: usize = 16;
@@ -64,6 +64,74 @@ pub fn history_lengths() -> [usize; NUM_TABLES] {
     lens
 }
 
+/// The global history a [`HashedPerceptron`] indexes with: the outcome
+/// register plus, for every table, its most recent `len` outcomes
+/// XOR-folded down to the index width.
+///
+/// The folds are kept current the way TAGE-style folded registers are:
+/// each pushed outcome rotates a fold left by one within the index width,
+/// xors the new outcome into bit 0, and xors out the outcome leaving the
+/// window at bit `len % width`. That is O(1) per table per push, so a
+/// lookup reads 16 folds instead of folding up to 232 history bits for
+/// each. Create one with [`HashedPerceptron::history`], which matches it
+/// to the predictor's history lengths and index width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PerceptronHistory {
+    bits: GlobalHistory,
+    folds: [u32; NUM_TABLES],
+    lens: [u8; NUM_TABLES],
+    /// Per table, the fold bit the leaving outcome is xored out of
+    /// (`len % width`, precomputed so a push divides nothing).
+    out_bit: [u8; NUM_TABLES],
+    width: u32,
+}
+
+impl PerceptronHistory {
+    /// An all-not-taken history folding `lens` down to `width` bits.
+    fn new(lens: [usize; NUM_TABLES], width: usize) -> Self {
+        assert!((1..=32).contains(&width), "fold width out of range");
+        assert!(
+            lens.iter().all(|&l| l < MAX_HISTORY_BITS),
+            "history length out of range"
+        );
+        PerceptronHistory {
+            bits: GlobalHistory::new(),
+            folds: [0; NUM_TABLES],
+            lens: lens.map(|l| l as u8),
+            out_bit: lens.map(|l| (l % width) as u8),
+            width: width as u32,
+        }
+    }
+
+    /// Shifts in one outcome (true = taken) as the most recent.
+    pub fn push(&mut self, taken: bool) {
+        self.bits.push(taken);
+        let w = self.width;
+        let mask = u32::MAX >> (32 - w);
+        for t in 0..NUM_TABLES {
+            let f = self.folds[t];
+            let rotated = ((f << 1) | (f >> (w - 1))) & mask;
+            // After the push, position `len` holds the outcome that just
+            // left this table's window.
+            let out = self.bits.bit(usize::from(self.lens[t])) as u32;
+            self.folds[t] = rotated ^ u32::from(taken) ^ (out << self.out_bit[t]);
+        }
+    }
+
+    /// Table `t`'s folded history.
+    #[inline]
+    fn folded(&self, t: usize) -> u64 {
+        let folded = u64::from(self.folds[t]);
+        debug_assert_eq!(
+            folded,
+            self.bits
+                .fold(usize::from(self.lens[t]), self.width as usize),
+            "table {t}: incremental fold diverged from the whole-history fold"
+        );
+        folded
+    }
+}
+
 /// Hashed perceptron direction predictor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashedPerceptron {
@@ -112,13 +180,16 @@ impl HashedPerceptron {
         self.tables[0].len() * NUM_TABLES
     }
 
-    fn index(&self, table: usize, pc: u64, hist: &GlobalHistory) -> usize {
-        let len = self.lens[table];
-        let folded = if len == 0 {
-            0
-        } else {
-            hist.fold(len, self.index_bits.min(32))
-        };
+    /// An empty history matched to this predictor's history lengths and
+    /// index width; push every conditional outcome into it.
+    #[must_use]
+    pub fn history(&self) -> PerceptronHistory {
+        PerceptronHistory::new(self.lens, self.index_bits.min(32))
+    }
+
+    fn index(&self, table: usize, pc: u64, hist: &PerceptronHistory) -> usize {
+        debug_assert_eq!(hist.width as usize, self.index_bits.min(32));
+        let folded = hist.folded(table);
         // Mix the PC with a table-specific multiplier so tables decorrelate.
         let pc_hash =
             (pc >> 2).wrapping_mul(0x9e37_79b9_7f4a_7c15u64.wrapping_add(table as u64 * 2));
@@ -127,7 +198,7 @@ impl HashedPerceptron {
 
     /// Predicts the direction of the conditional branch at `pc`.
     #[must_use]
-    pub fn predict(&self, pc: u64, hist: &GlobalHistory) -> PerceptronOutput {
+    pub fn predict(&self, pc: u64, hist: &PerceptronHistory) -> PerceptronOutput {
         let mut sum = 0i32;
         for t in 0..NUM_TABLES {
             sum += i32::from(self.tables[t][self.index(t, pc, hist)]);
@@ -142,13 +213,11 @@ impl HashedPerceptron {
 
     /// Retire-time predict-then-train in one pass: returns exactly what
     /// [`Self::predict`] would, then trains exactly as [`Self::update`]
-    /// would — but computes each table index once instead of twice. The
-    /// folded-history indexing dominates both operations, so the combined
-    /// path roughly halves the predictor's retire cost.
+    /// would — but computes each table index once instead of twice.
     pub fn predict_and_train(
         &mut self,
         pc: u64,
-        hist: &GlobalHistory,
+        hist: &PerceptronHistory,
         taken: bool,
     ) -> PerceptronOutput {
         let mut indices = [0usize; NUM_TABLES];
@@ -191,7 +260,13 @@ impl HashedPerceptron {
 
     /// Trains the predictor with the actual outcome. `output` must be the
     /// value returned by [`Self::predict`] for the same branch and history.
-    pub fn update(&mut self, pc: u64, hist: &GlobalHistory, output: PerceptronOutput, taken: bool) {
+    pub fn update(
+        &mut self,
+        pc: u64,
+        hist: &PerceptronHistory,
+        output: PerceptronOutput,
+        taken: bool,
+    ) {
         let mispredicted = output.taken != taken;
         if mispredicted || output.sum.abs() <= self.theta {
             for t in 0..NUM_TABLES {
@@ -224,9 +299,60 @@ impl HashedPerceptron {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every incremental fold equals the whole-history fold after every
+        /// push: each table length at each width from 1 to 32, over more
+        /// pushes than the 256-bit register holds, at a per-case taken bias
+        /// (all-not-taken through nearly all-taken).
+        #[test]
+        fn folded_history_matches_whole_history_fold(
+            bias in any::<u8>(),
+            draws in proptest::collection::vec(any::<u8>(), 257..400),
+        ) {
+            let lens = history_lengths();
+            for width in 1..=32 {
+                let mut h = PerceptronHistory::new(lens, width);
+                for (step, &d) in draws.iter().enumerate() {
+                    h.push(d < bias);
+                    for (t, &len) in lens.iter().enumerate() {
+                        prop_assert_eq!(
+                            u64::from(h.folds[t]),
+                            h.bits.fold(len, width),
+                            "len {} width {} after {} pushes", len, width, step + 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folded_history_matches_fold_at_every_length() {
+        // Lengths beyond the perceptron's own, up to the register's last
+        // bit, at every width.
+        let mut outcomes = 0x9e37_79b9_7f4a_7c15u64;
+        for width in 1..=32 {
+            for first in (0..MAX_HISTORY_BITS).step_by(NUM_TABLES) {
+                let lens: [usize; NUM_TABLES] =
+                    std::array::from_fn(|t| (first + t).min(MAX_HISTORY_BITS - 1));
+                let mut h = PerceptronHistory::new(lens, width);
+                for _ in 0..300 {
+                    outcomes = outcomes.rotate_left(7) ^ 0x2545_f491_4f6c_dd1d;
+                    h.push(outcomes & 4 != 0);
+                }
+                for (t, &len) in lens.iter().enumerate() {
+                    assert_eq!(u64::from(h.folds[t]), h.bits.fold(len, width));
+                }
+            }
+        }
+    }
 
     fn run_pattern<F: FnMut(u64) -> bool>(p: &mut HashedPerceptron, n: usize, mut f: F) -> f64 {
-        let mut hist = GlobalHistory::new();
+        let mut hist = p.history();
         let mut correct = 0usize;
         for i in 0..n {
             let pc = 0x4000 + (i as u64 % 7) * 4;
@@ -255,7 +381,7 @@ mod tests {
     fn predict_and_train_matches_split_predict_update() {
         let mut split = HashedPerceptron::new(PerceptronConfig::paper());
         let mut fused = HashedPerceptron::new(PerceptronConfig::paper());
-        let mut hist = GlobalHistory::new();
+        let mut hist = split.history();
         for i in 0..5000u64 {
             let pc = 0x4000 + (i % 13) * 4;
             let taken = (i / 5) % 3 != 0;
@@ -300,7 +426,7 @@ mod tests {
         let mut small = HashedPerceptron::new(PerceptronConfig::with_size_kb(2));
         let gen = |i: u64| (i / 3) % 7 < 3;
         let acc = |p: &mut HashedPerceptron| {
-            let mut hist = GlobalHistory::new();
+            let mut hist = p.history();
             let mut correct = 0usize;
             let n = 30_000;
             for i in 0..n {

@@ -15,6 +15,19 @@
 //! ```text
 //! BTB_BLESS=1 cargo test --release -p btb-harness --test report_snapshot
 //! ```
+//!
+//! This fixture covers only `PipelineConfig::paper()`. The CI determinism
+//! job also pins the bytes of `figures all` (ideal backend, predictor
+//! sweep, preloading and the rest) in `ci/figures_all.sha256`. Re-bless
+//! that digest after the same kind of intentional change, from the
+//! repository root:
+//!
+//! ```text
+//! BTB_INSTS=300000 BTB_WARMUP=100000 BTB_WORKLOADS=4 \
+//!     cargo run --release -p btb-harness --bin figures -- \
+//!     all --store "$(mktemp -d)" --threads 1 > figures-t1.txt
+//! sha256sum figures-t1.txt > ci/figures_all.sha256
+//! ```
 
 use btb_harness::{configs, run_matrix, run_matrix_with_store, Scale, Suite};
 use btb_sim::PipelineConfig;

@@ -23,7 +23,7 @@ fn main() {
         }
     }
     let mut p = HashedPerceptron::new(PerceptronConfig::paper());
-    let mut h = GlobalHistory::new();
+    let mut h = p.history();
     let mut by_class: HashMap<&str, (u64, u64)> = HashMap::new();
     for rec in TraceExecutor::new(&prog, profile.seed).take(4_000_000) {
         if rec.branch_kind() != Some(BranchKind::CondDirect) {

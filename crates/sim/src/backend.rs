@@ -10,32 +10,11 @@
 use crate::config::{BackendKind, PipelineConfig};
 use btb_trace::{Op, TraceRecord, NO_REG, NUM_REGS};
 use btb_uarch::MemoryHierarchy;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiplicative hasher for the cycle-keyed [`FuPool`] map. The map is only
-/// ever addressed by key (insert/lookup/retain-by-key), so the hash function
-/// cannot affect simulation results — but it is on the per-instruction hot
-/// path, where SipHash showed up as a measurable cost.
-#[derive(Default)]
-struct CycleHasher(u64);
-
-impl Hasher for CycleHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("FuPool keys are u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci multiplicative hash; the xor-shift spreads entropy into
-        // the top bits hashbrown uses for its control tags.
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// Live cycles that trigger a [`FuPool`] prune.
+const PRUNE_LEN: usize = 4096;
+/// How far below the reserving cycle a prune keeps history.
+const PRUNE_KEEP: u64 = 1024;
 
 /// Per-instruction backend timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,10 +31,22 @@ pub struct BackendTimes {
 
 /// A pool of `width` pipelined functional units: at most `width` operations
 /// may start per cycle.
+///
+/// Reservation counts live in an open-addressed table indexed by the cycle
+/// number itself (`cycle & mask`, linear probe): the live cycles form a
+/// window near the issue frontier, so a reservation is one or two slot
+/// reads with no hashing. A zero count marks an empty slot, so both arrays
+/// start zeroed and cost no memory until written. The table holds exactly
+/// the keys, counts and live-key count a cycle-keyed map would: pruning
+/// (which reports can observe, since a reservation below the prune line
+/// finds a fresh cycle) fires on the same length, and the table doubles
+/// whenever live cycles exceed half its slots.
 #[derive(Debug, Clone)]
 struct FuPool {
     width: u32,
-    counts: HashMap<u64, u32, BuildHasherDefault<CycleHasher>>,
+    cycles: Vec<u64>,
+    counts: Vec<u32>,
+    len: usize,
     prune_below: u64,
     /// Every cycle in `[prune_below, full_below)` holds `width`
     /// reservations. Probing a full cycle is side-effect-free (the entry
@@ -69,10 +60,35 @@ impl FuPool {
     fn new(width: usize) -> Self {
         FuPool {
             width: width.max(1) as u32,
-            counts: HashMap::default(),
+            cycles: vec![0; 2 * PRUNE_LEN],
+            counts: vec![0; 2 * PRUNE_LEN],
+            len: 0,
             prune_below: 0,
             full_below: 0,
         }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.counts.len() - 1
+    }
+
+    /// The slot holding `cycle`, or the empty slot where it would go.
+    #[inline]
+    fn slot(&self, cycle: u64) -> usize {
+        let mask = self.mask();
+        let mut i = cycle as usize & mask;
+        while self.counts[i] != 0 && self.cycles[i] != cycle {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Stores a live cycle absent from the table.
+    fn place(&mut self, cycle: u64, count: u32) {
+        let i = self.slot(cycle);
+        self.cycles[i] = cycle;
+        self.counts[i] = count;
     }
 
     /// Reserves the earliest cycle `>= min` with a free unit.
@@ -85,15 +101,22 @@ impl FuPool {
         }
         let start = c;
         loop {
-            let e = self.counts.entry(c).or_insert(0);
-            if *e < self.width {
-                *e += 1;
-                // Opportunistic pruning keeps the map small.
-                if self.counts.len() > 4096 {
-                    let cut = c.saturating_sub(1024).max(self.prune_below);
-                    self.counts.retain(|&k, _| k >= cut);
+            let i = self.slot(c);
+            if self.counts[i] < self.width {
+                if self.counts[i] == 0 {
+                    self.cycles[i] = c;
+                    self.len += 1;
+                }
+                self.counts[i] += 1;
+                // Opportunistic pruning keeps the table small.
+                if self.len > PRUNE_LEN {
+                    let cut = c.saturating_sub(PRUNE_KEEP).max(self.prune_below);
+                    self.retain_from(cut);
                     self.prune_below = cut;
                     self.full_below = self.full_below.max(cut);
+                    if 2 * self.len > self.counts.len() {
+                        self.grow();
+                    }
                 }
                 // Cycles [start, c) were all observed full; if the scan
                 // began inside the known-full range the two ranges join.
@@ -105,15 +128,54 @@ impl FuPool {
             c += 1;
         }
     }
+
+    /// Forgets every cycle below `cut`. Survivors displaced from their
+    /// home slot (rare: only cycles a whole table apart collide) are
+    /// lifted out and re-probed once the stale cycles are gone; a survivor
+    /// at home is reachable whatever the holes around it, and re-probing
+    /// only fills holes, so every survivor stays reachable.
+    fn retain_from(&mut self, cut: u64) {
+        let mask = self.mask();
+        let mut displaced = Vec::new();
+        for i in 0..self.counts.len() {
+            if self.counts[i] == 0 {
+                continue;
+            }
+            if self.cycles[i] < cut {
+                self.counts[i] = 0;
+                self.len -= 1;
+            } else if self.cycles[i] as usize & mask != i {
+                displaced.push((self.cycles[i], self.counts[i]));
+                self.counts[i] = 0;
+            }
+        }
+        for (cycle, count) in displaced {
+            self.place(cycle, count);
+        }
+    }
+
+    fn grow(&mut self) {
+        let slots = 2 * self.counts.len();
+        let cycles = std::mem::replace(&mut self.cycles, vec![0; slots]);
+        let counts = std::mem::replace(&mut self.counts, vec![0; slots]);
+        for (cycle, count) in cycles.into_iter().zip(counts) {
+            if count != 0 {
+                self.place(cycle, count);
+            }
+        }
+    }
 }
 
-/// A ring of the last `capacity` values, indexed by a monotonically
-/// increasing counter — models a finite in-order queue: the `i`-th entry
-/// may enter only after the `(i - capacity)`-th left.
+/// A ring of the last `capacity` values — models a finite in-order queue:
+/// the `i`-th entry may enter only after the `(i - capacity)`-th left.
+///
+/// The head index wraps with a compare, not a modulo (capacities such as
+/// 352 are not powers of two). A slot not yet written reads 0, which is
+/// exactly the bound of a queue that has not filled.
 #[derive(Debug, Clone)]
 pub struct QueueRing {
     slots: Vec<u64>,
-    count: u64,
+    head: usize,
 }
 
 impl QueueRing {
@@ -122,26 +184,26 @@ impl QueueRing {
     pub fn new(capacity: usize) -> Self {
         QueueRing {
             slots: vec![0; capacity.max(1)],
-            count: 0,
+            head: 0,
         }
     }
 
     /// The earliest cycle the next entry may enter the queue (the leave
     /// cycle of the entry `capacity` positions back).
+    #[inline]
     #[must_use]
     pub fn admit_bound(&self) -> u64 {
-        if (self.count as usize) < self.slots.len() {
-            0
-        } else {
-            self.slots[(self.count as usize) % self.slots.len()]
-        }
+        self.slots[self.head]
     }
 
     /// Records the leave cycle of the entry being admitted now.
+    #[inline]
     pub fn push_leave(&mut self, leave_cycle: u64) {
-        let idx = (self.count as usize) % self.slots.len();
-        self.slots[idx] = leave_cycle;
-        self.count += 1;
+        self.slots[self.head] = leave_cycle;
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
+        }
     }
 }
 
@@ -376,6 +438,8 @@ impl Backend {
 mod tests {
     use super::*;
     use btb_trace::TraceRecord;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn rec_alu(pc: u64, srcs: [u8; 3], dsts: [u8; 2]) -> TraceRecord {
         TraceRecord {
@@ -394,6 +458,27 @@ mod tests {
         assert_eq!(q.admit_bound(), 10);
         q.push_leave(30);
         assert_eq!(q.admit_bound(), 20);
+    }
+
+    #[test]
+    fn queue_ring_matches_modulo_indexing() {
+        // Non-power-of-two capacity: the wrapping head must land where
+        // `count % capacity` would.
+        for cap in [1, 3, 72, 352] {
+            let mut q = QueueRing::new(cap);
+            let mut log = Vec::new();
+            for i in 0..5 * cap as u64 + 7 {
+                let want = if log.len() < cap {
+                    0
+                } else {
+                    log[log.len() - cap]
+                };
+                assert_eq!(q.admit_bound(), want, "cap {cap} entry {i}");
+                let leave = i * 7 + 3;
+                q.push_leave(leave);
+                log.push(leave);
+            }
+        }
     }
 
     #[test]
@@ -426,6 +511,155 @@ mod tests {
         let t1 = b.process(&rec_alu(0x0, [NO_REG; 3], [1, NO_REG]), 10, &mut mem);
         let t2 = b.process(&rec_alu(0x4, [NO_REG; 3], [2, NO_REG]), 10, &mut mem);
         assert_eq!(t1.issue, t2.issue, "independent ops issue together");
+    }
+
+    /// The cycle-keyed map [`FuPool`] used before its table, kept as the
+    /// reference the table must match reservation for reservation.
+    struct MapFuPool {
+        width: u32,
+        counts: HashMap<u64, u32>,
+        prune_below: u64,
+        full_below: u64,
+    }
+
+    impl MapFuPool {
+        fn new(width: usize) -> Self {
+            MapFuPool {
+                width: width.max(1) as u32,
+                counts: HashMap::new(),
+                prune_below: 0,
+                full_below: 0,
+            }
+        }
+
+        fn reserve(&mut self, min: u64) -> u64 {
+            let mut c = min;
+            if c >= self.prune_below && c < self.full_below {
+                c = self.full_below;
+            }
+            let start = c;
+            loop {
+                let e = self.counts.entry(c).or_insert(0);
+                if *e < self.width {
+                    *e += 1;
+                    if self.counts.len() > 4096 {
+                        let cut = c.saturating_sub(1024).max(self.prune_below);
+                        self.counts.retain(|&k, _| k >= cut);
+                        self.prune_below = cut;
+                        self.full_below = self.full_below.max(cut);
+                    }
+                    if start <= self.full_below {
+                        self.full_below = self.full_below.max(c);
+                    }
+                    return c;
+                }
+                c += 1;
+            }
+        }
+
+        fn entries(&self) -> Vec<(u64, u32)> {
+            let mut v: Vec<_> = self.counts.iter().map(|(&k, &n)| (k, n)).collect();
+            v.sort_unstable();
+            v
+        }
+    }
+
+    fn table_entries(pool: &FuPool) -> Vec<(u64, u32)> {
+        let mut v: Vec<_> = pool
+            .cycles
+            .iter()
+            .zip(&pool.counts)
+            .filter(|&(_, &n)| n != 0)
+            .map(|(&k, &n)| (k, n))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn assert_same_state(table: &FuPool, map: &MapFuPool) {
+        assert_eq!(table.len, map.counts.len());
+        assert_eq!(table_entries(table), map.entries());
+        assert_eq!(table.prune_below, map.prune_below);
+        assert_eq!(table.full_below, map.full_below);
+    }
+
+    #[test]
+    fn fu_pool_table_grows_past_the_prune_length() {
+        // Descending reservations each take a fresh cycle above the cut,
+        // so pruning forgets nothing until the descent passes the first
+        // prune line, and the live set outgrows half the table.
+        let (mut table, mut map) = (FuPool::new(2), MapFuPool::new(2));
+        let slots = table.counts.len();
+        for k in 0..3 * PRUNE_LEN as u64 {
+            let min = 1_000_000 - k;
+            assert_eq!(table.reserve(min), map.reserve(min));
+        }
+        assert_eq!(table.len, PRUNE_LEN + PRUNE_KEEP as usize + 1);
+        assert!(table.counts.len() >= 2 * table.len && table.counts.len() > slots);
+        assert_same_state(&table, &map);
+        // Climbing back up prunes the long tail in one pass.
+        for min in 1_020_000..1_020_010 {
+            assert_eq!(table.reserve(min), map.reserve(min));
+        }
+        assert_same_state(&table, &map);
+    }
+
+    #[test]
+    fn fu_pool_forgets_cycles_below_the_prune_line() {
+        let (mut table, mut map) = (FuPool::new(1), MapFuPool::new(1));
+        for min in 0..=PRUNE_LEN as u64 {
+            assert_eq!(table.reserve(min), map.reserve(min));
+        }
+        assert!(table.prune_below > 0, "the 4097th cycle prunes");
+        // Cycle 0 was reserved once, but the prune forgot it: a width-1
+        // pool hands it out again.
+        assert_eq!(table.reserve(0), 0);
+        assert_eq!(map.reserve(0), 0);
+        assert_same_state(&table, &map);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The open-addressed table returns the same cycle as the map at
+        /// every step and ends holding the same keys, counts and length:
+        /// dense issue, far jumps, mins below the prune line, and a
+        /// descending prefix that leaves more than 4096 cycles live.
+        #[test]
+        fn fu_pool_table_matches_map(
+            width in 1usize..=16,
+            descend in 0u64..6_000,
+            steps in proptest::collection::vec((0u8..8, 0u64..5_000), 1..3_000),
+        ) {
+            let (mut table, mut map) = (FuPool::new(width), MapFuPool::new(width));
+            let base = 1_000_000u64;
+            for k in 0..descend {
+                let min = base + descend - k;
+                prop_assert_eq!(table.reserve(min), map.reserve(min));
+            }
+            let mut cursor = base + descend;
+            for (step, &(mode, v)) in steps.iter().enumerate() {
+                let min = match mode {
+                    0..=3 => {
+                        cursor += v % 3;
+                        cursor
+                    }
+                    4 => cursor.saturating_sub(v),
+                    5 => {
+                        cursor += v;
+                        cursor
+                    }
+                    6 => cursor + v,
+                    _ => cursor.saturating_sub(v % 1_100),
+                };
+                let (got, want) = (table.reserve(min), map.reserve(min));
+                prop_assert_eq!(got, want, "step {} min {}", step, min);
+                prop_assert_eq!(table.len, map.counts.len());
+            }
+            prop_assert_eq!(table_entries(&table), map.entries());
+            prop_assert_eq!(table.prune_below, map.prune_below);
+            prop_assert_eq!(table.full_below, map.full_below);
+        }
     }
 
     #[test]

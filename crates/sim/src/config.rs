@@ -1,5 +1,6 @@
 //! Pipeline configuration (the paper's Table 1).
 
+use crate::sim::SimError;
 use btb_bpred::PerceptronConfig;
 
 /// Backend model selection.
@@ -152,6 +153,26 @@ impl PipelineConfig {
     pub fn with_btb_preload(mut self) -> Self {
         self.btb_preload = true;
         self
+    }
+
+    /// Rejects configurations the engine cannot run: fetch with no slots
+    /// or no lines would never admit an instruction, and the interleave
+    /// mask needs a power-of-two interleave count.
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        if self.width == 0 {
+            return Err(SimError::InvalidPipeline("width must be at least 1"));
+        }
+        if self.fetch_lines_per_cycle == 0 {
+            return Err(SimError::InvalidPipeline(
+                "fetch_lines_per_cycle must be at least 1",
+            ));
+        }
+        if !self.icache_interleaves.is_power_of_two() {
+            return Err(SimError::InvalidPipeline(
+                "icache_interleaves must be a power of two",
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -3,7 +3,7 @@
 //! with a per-plan speculative overlay.
 
 use btb_bpred::{
-    GlobalHistory, HashedPerceptron, IndirectPredictor, PathHistory, ReturnAddressStack,
+    HashedPerceptron, IndirectPredictor, PathHistory, PerceptronHistory, ReturnAddressStack,
 };
 use btb_core::PredictionProvider;
 use btb_trace::{Addr, BranchKind, TraceRecord};
@@ -14,7 +14,7 @@ use crate::config::PipelineConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predictors {
     perceptron: HashedPerceptron,
-    ghist: GlobalHistory,
+    ghist: PerceptronHistory,
     indirect: IndirectPredictor,
     phist: PathHistory,
     ras: ReturnAddressStack,
@@ -27,22 +27,23 @@ pub struct Predictors {
     /// Speculative global history for the plan being built: predictions of
     /// earlier in-plan conditionals are inserted so later in-plan branches
     /// see the same history a real speculatively-updated GHR would provide.
-    plan_hist: GlobalHistory,
+    plan_hist: PerceptronHistory,
 }
 
 impl Predictors {
     /// Creates the predictors from a pipeline configuration.
     #[must_use]
     pub fn new(config: &PipelineConfig) -> Self {
+        let perceptron = HashedPerceptron::new(config.perceptron);
         Predictors {
-            perceptron: HashedPerceptron::new(config.perceptron),
-            ghist: GlobalHistory::new(),
+            ghist: perceptron.history(),
+            plan_hist: perceptron.history(),
+            perceptron,
             indirect: IndirectPredictor::new(config.indirect_entries),
             phist: PathHistory::new(),
             ras: ReturnAddressStack::new(config.ras_entries),
             overlay: Vec::new(),
             overlay_pops: 0,
-            plan_hist: GlobalHistory::new(),
         }
     }
 
@@ -50,7 +51,7 @@ impl Predictors {
     pub fn begin_plan(&mut self) {
         self.overlay.clear();
         self.overlay_pops = 0;
-        self.plan_hist = self.ghist.clone();
+        self.plan_hist.clone_from(&self.ghist);
     }
 
     /// Retire-time training with the actual outcome of a branch record

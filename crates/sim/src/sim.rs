@@ -37,6 +37,11 @@ pub enum SimError {
         /// Records the trace actually provided.
         trace_insts: u64,
     },
+    /// The pipeline cannot run: fetch would never admit an instruction
+    /// (`width` or `fetch_lines_per_cycle` is 0), or the I-cache interleave
+    /// mask is meaningless (`icache_interleaves` is not a power of two).
+    /// Names the offending field.
+    InvalidPipeline(&'static str),
 }
 
 impl std::fmt::Display for SimError {
@@ -50,6 +55,9 @@ impl std::fmt::Display for SimError {
                 "warm-up of {warmup_insts} instructions consumed the whole \
                  {trace_insts}-instruction trace: nothing left to measure"
             ),
+            SimError::InvalidPipeline(field) => {
+                write!(f, "invalid pipeline configuration: {field}")
+            }
         }
     }
 }
@@ -110,11 +118,12 @@ impl<I: Iterator<Item = TraceRecord>> Lookahead<I> {
 /// Back-pressure only ever consults the release cycle of the entry
 /// `ftq_entries` positions earlier, so a ring of that capacity replaces the
 /// unbounded `Vec<u64>` that previously grew one slot per FTQ entry for the
-/// whole run. Indices are absolute entry numbers; the ring retains the last
-/// `capacity` of them.
+/// whole run. The head index wraps with a compare, not a modulo; a slot not
+/// yet written reads 0, the bound of an FTQ that has not filled.
 #[derive(Debug, Clone)]
 struct ReleaseRing {
     slots: Vec<u64>,
+    head: usize,
     pushed: usize,
 }
 
@@ -122,6 +131,7 @@ impl ReleaseRing {
     fn new(capacity: usize) -> Self {
         ReleaseRing {
             slots: vec![0; capacity.max(1)],
+            head: 0,
             pushed: 0,
         }
     }
@@ -134,28 +144,37 @@ impl ReleaseRing {
 
     #[inline]
     fn push(&mut self, release: u64) {
-        let cap = self.slots.len();
-        self.slots[self.pushed % cap] = release;
+        self.slots[self.head] = release;
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
+        }
         self.pushed += 1;
     }
 
-    /// Release cycle of absolute entry `idx`; must be within the retained
-    /// window (the FTQ capacity guarantees it on every call site).
+    /// Latest release cycle among the entries `capacity` positions before
+    /// each of the next `n` entries: the cycle from which all `n` fit.
     #[inline]
-    fn get(&self, idx: usize) -> u64 {
-        debug_assert!(
-            idx < self.pushed && idx + self.slots.len() >= self.pushed,
-            "release index {idx} outside retained window"
-        );
-        self.slots[idx % self.slots.len()]
+    fn admit_bound(&self, n: usize) -> u64 {
+        debug_assert!(n <= self.slots.len(), "{n} entries exceed the FTQ");
+        let mut slot = self.head;
+        let mut bound = 0;
+        for _ in 0..n {
+            bound = bound.max(self.slots[slot]);
+            slot += 1;
+            if slot == self.slots.len() {
+                slot = 0;
+            }
+        }
+        bound
     }
 
-    /// Entries still occupied at `cycle` (release cycle in the future)
-    /// among the retained window — the FTQ occupancy sample the observer
-    /// reports. O(capacity) scan; only called on observer sample cadence.
+    /// Entries still occupied at `cycle` (release cycle in the future) —
+    /// the FTQ occupancy sample the observer reports. Unwritten slots read
+    /// 0 and so never count. O(capacity) scan; only called on observer
+    /// sample cadence.
     fn occupancy_at(&self, cycle: u64) -> usize {
-        let live = self.pushed.min(self.slots.len());
-        self.slots[..live].iter().filter(|&&r| r > cycle).count()
+        self.slots.iter().filter(|&&r| r > cycle).count()
     }
 }
 
@@ -178,7 +197,9 @@ impl FetchFrontier {
             lines: Vec::with_capacity(config.fetch_lines_per_cycle),
             max_insts: config.width,
             max_lines: config.fetch_lines_per_cycle,
-            interleave_mask: config.icache_interleaves as u64 - 1,
+            // Wrapping: a zero interleave count is rejected before the
+            // first bundle, not by an underflow here.
+            interleave_mask: (config.icache_interleaves as u64).wrapping_sub(1),
         }
     }
 
@@ -312,13 +333,15 @@ impl WarmupCheckpoint {
     /// boundary, ready to feed [`Simulator::resume`].
     ///
     /// # Errors
-    /// [`SimError::WarmupExceedsTrace`] if the stream ends early.
+    /// [`SimError::WarmupExceedsTrace`] if the stream ends early;
+    /// [`SimError::InvalidPipeline`] if `config` cannot run.
     pub fn capture<I: Iterator<Item = TraceRecord>>(
         records: &mut I,
         insts: u64,
         btb: BtbConfig,
         config: &PipelineConfig,
     ) -> Result<Self, SimError> {
+        config.validate()?;
         let mut btb = btb_core::build_btb(btb);
         let mut predictors = Predictors::new(config);
         for done in 0..insts {
@@ -446,7 +469,8 @@ impl<I: Iterator<Item = TraceRecord>> Simulator<I> {
     ///
     /// # Errors
     /// [`SimError::WarmupExceedsTrace`] when `warmup_insts` is at least the
-    /// trace length.
+    /// trace length; [`SimError::InvalidPipeline`] when the pipeline
+    /// configuration cannot run.
     pub fn try_run(mut self) -> Result<SimReport, SimError> {
         self.run_core()
     }
@@ -485,6 +509,7 @@ impl<I: Iterator<Item = TraceRecord>> Simulator<I> {
     }
 
     fn run_core(&mut self) -> Result<SimReport, SimError> {
+        self.config.validate()?;
         if self.config.warmup_insts == 0 {
             // No warm-up: the measured region is the whole run.
             self.warm = Some(SimStats::default());
@@ -647,15 +672,8 @@ impl<I: Iterator<Item = TraceRecord>> Simulator<I> {
 
         // FTQ back-pressure: each new entry needs a slot vacated by the
         // entry `capacity` positions earlier.
-        let mut predict = self.pcgen;
-        let cap = self.config.ftq_entries;
+        let predict = self.pcgen.max(self.ftq_release.admit_bound(lines.len()));
         let base_entry = self.ftq_release.pushed();
-        for j in 0..lines.len() {
-            let k = base_entry + j;
-            if k >= cap {
-                predict = predict.max(self.ftq_release.get(k - cap));
-            }
-        }
         self.stats.btb_accesses += 1;
         let mut next_pcgen = predict + 1 + u64::from(plan.bubbles);
 
@@ -948,7 +966,8 @@ pub fn simulate(trace: &Trace, btb: BtbConfig, pipeline: PipelineConfig) -> SimR
 ///
 /// # Errors
 /// [`SimError::WarmupExceedsTrace`] when `pipeline.warmup_insts` is at
-/// least the trace length.
+/// least the trace length; [`SimError::InvalidPipeline`] when `pipeline`
+/// cannot run.
 pub fn try_simulate(
     trace: &Trace,
     btb: BtbConfig,
@@ -980,7 +999,8 @@ pub fn simulate_stream(
 ///
 /// # Errors
 /// [`SimError::WarmupExceedsTrace`] when `pipeline.warmup_insts` is at
-/// least the stream length.
+/// least the stream length; [`SimError::InvalidPipeline`] when `pipeline`
+/// cannot run.
 pub fn try_simulate_stream(
     workload: &str,
     records: impl Iterator<Item = TraceRecord>,
@@ -1360,6 +1380,56 @@ mod tests {
         .run();
         again.workload = trace.name.clone();
         assert_eq!(straight, again);
+    }
+
+    /// Runs `pipe` over a 100-instruction trace through every fallible
+    /// entry point; each must refuse the pipeline before the first bundle.
+    fn assert_rejected(pipe: &PipelineConfig, field: &'static str) {
+        let trace = Trace::generate(&WorkloadProfile::tiny(3), 100);
+        let want = Err(SimError::InvalidPipeline(field));
+        assert_eq!(try_simulate(&trace, ideal_ibtb16(), pipe.clone()), want);
+        assert_eq!(
+            try_simulate_stream(
+                &trace.name,
+                trace.records.iter().copied(),
+                ideal_ibtb16(),
+                pipe.clone(),
+            ),
+            want
+        );
+        let ff = pipe.clone().with_warmup(10).with_fast_forward();
+        let ckpt =
+            WarmupCheckpoint::capture(&mut trace.records.iter().copied(), 10, ideal_ibtb16(), &ff);
+        assert_eq!(ckpt.map(|c| c.insts), Err(SimError::InvalidPipeline(field)));
+    }
+
+    #[test]
+    fn zero_width_pipeline_is_an_error_not_a_hang() {
+        let pipe = PipelineConfig {
+            width: 0,
+            ..PipelineConfig::paper()
+        };
+        assert_rejected(&pipe, "width must be at least 1");
+    }
+
+    #[test]
+    fn zero_fetch_lines_pipeline_is_an_error_not_a_hang() {
+        let pipe = PipelineConfig {
+            fetch_lines_per_cycle: 0,
+            ..PipelineConfig::paper()
+        };
+        assert_rejected(&pipe, "fetch_lines_per_cycle must be at least 1");
+    }
+
+    #[test]
+    fn non_power_of_two_interleaves_are_an_error() {
+        for interleaves in [0, 3, 12] {
+            let pipe = PipelineConfig {
+                icache_interleaves: interleaves,
+                ..PipelineConfig::paper()
+            };
+            assert_rejected(&pipe, "icache_interleaves must be a power of two");
+        }
     }
 
     #[test]

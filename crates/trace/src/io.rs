@@ -11,7 +11,7 @@
 //! built on top.
 
 use crate::exec::Trace;
-use crate::record::{BranchKind, Op, TraceRecord};
+use crate::record::{BranchKind, Op, TraceRecord, NO_REG, NUM_REGS};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"BTBTRACE";
@@ -127,6 +127,15 @@ fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<TraceRecord, ReadTraceError
         1 => true,
         _ => return Err(ReadTraceError::Corrupt("taken")),
     };
+    // Register bytes index the simulator's register file: anything but a
+    // real register or the unused-slot mark would be an out-of-bounds
+    // index there, so it is corruption here.
+    if buf[26..31]
+        .iter()
+        .any(|&r| usize::from(r) >= NUM_REGS && r != NO_REG)
+    {
+        return Err(ReadTraceError::Corrupt("register"));
+    }
     Ok(TraceRecord {
         pc,
         op,
@@ -422,6 +431,53 @@ mod tests {
         let reader = TraceReader::new(buf.as_slice()).expect("header");
         let last = reader.last().expect("at least one item");
         assert!(matches!(last, Err(ReadTraceError::Io(_))));
+    }
+
+    #[test]
+    fn out_of_range_registers_are_corrupt() {
+        // Register 40 used to decode fine and then index past the
+        // simulator's 32-entry register file.
+        let nop = TraceRecord::nop(0x1000);
+        for rec in [
+            TraceRecord {
+                srcs: [1, 40, NO_REG],
+                ..nop
+            },
+            TraceRecord {
+                dsts: [NO_REG, 40],
+                ..nop
+            },
+        ] {
+            let t = Trace {
+                name: "bad-reg".into(),
+                records: vec![nop, rec],
+            };
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &t).expect("write");
+            let err = read_trace(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, ReadTraceError::Corrupt("register")), "{err}");
+            let mut reader = TraceReader::new(buf.as_slice()).expect("header");
+            assert_eq!(reader.next().expect("first").expect("valid"), nop);
+            let err = reader.next().expect("second").unwrap_err();
+            assert!(matches!(err, ReadTraceError::Corrupt("register")), "{err}");
+            assert!(reader.next().is_none(), "reader fuses after an error");
+        }
+        // The highest real register and the unused mark still decode.
+        let edge = TraceRecord {
+            srcs: [NUM_REGS as u8 - 1, NO_REG, 0],
+            dsts: [NUM_REGS as u8 - 1, NO_REG],
+            ..nop
+        };
+        let t = Trace {
+            name: "edge-reg".into(),
+            records: vec![edge],
+        };
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &t).expect("write");
+        assert_eq!(
+            read_trace(buf.as_slice()).expect("read").records,
+            vec![edge]
+        );
     }
 
     #[test]

@@ -38,18 +38,23 @@ struct Mshr {
 /// One cache level: exact tags + MSHR timing.
 ///
 /// Tags are stored structure-of-arrays (`tags` / `last_use` parallel
-/// vectors, `last_use == 0` marking an empty way) so the per-access way scan
-/// runs over packed `u64`s — the same layout `btb_core::SetAssoc` uses, and
-/// for the same reason: this scan executes several times per simulated
-/// instruction (ITLB + L1I on the fetch path, DTLB + L1D per load).
+/// vectors) so the per-access way scan runs over packed `u64`s — the same
+/// layout `btb_core::SetAssoc` uses, and for the same reason: this scan
+/// executes several times per simulated instruction (ITLB + L1I on the
+/// fetch path, DTLB + L1D per load). A way stores `line + 1`, so 0 marks an
+/// empty way: the scan is one compare per way, and the arrays start zeroed,
+/// costing no memory until a line lands in them.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Tag of each way, valid only where `last_use != 0`.
+    /// `line + 1` of each way; 0 marks an empty way.
     tags: Vec<u64>,
-    /// Recency tick per way; 0 marks an empty way (real ticks start at 1).
+    /// Recency tick per way; 0 exactly on empty ways (ticks start at 1).
     last_use: Vec<u64>,
     mshrs: Vec<Mshr>,
+    /// Earliest `ready` among `mshrs` (`u64::MAX` when none is
+    /// outstanding): a drain before that cycle has nothing to release.
+    next_ready: u64,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -72,6 +77,7 @@ impl Cache {
             tags: vec![0; config.sets * config.ways],
             last_use: vec![0; config.sets * config.ways],
             mshrs: Vec::with_capacity(config.mshrs),
+            next_ready: u64::MAX,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -103,18 +109,16 @@ impl Cache {
     }
 
     /// Index of the way holding `line`, if present (packed scan, no state
-    /// change).
+    /// change). Lines are addresses shifted right, so `line + 1` never
+    /// wraps to the empty mark.
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
         let range = self.set_range(line);
-        let tags = &self.tags[range.clone()];
-        let uses = &self.last_use[range.clone()];
-        for (i, (&tag, &used)) in tags.iter().zip(uses).enumerate() {
-            if used != 0 && tag == line {
-                return Some(range.start + i);
-            }
-        }
-        None
+        let tag = line + 1;
+        self.tags[range.clone()]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|i| range.start + i)
     }
 
     /// Whether `line` is present (no state change).
@@ -137,13 +141,17 @@ impl Cache {
     /// Installs `line`, evicting LRU if needed.
     pub fn fill(&mut self, line: u64) {
         self.tick += 1;
-        let tick = self.tick;
         if let Some(idx) = self.find(line) {
-            self.last_use[idx] = tick;
+            self.last_use[idx] = self.tick;
             return;
         }
-        // One pass picks the first free way, or failing that the LRU victim
-        // (first-minimum, matching the historical stable `min_by_key`).
+        self.install(line);
+    }
+
+    /// Installs `line`, known to be absent, at tick `self.tick`. One pass
+    /// picks the first free way, or failing that the LRU victim
+    /// (first-minimum, matching the historical stable `min_by_key`).
+    fn install(&mut self, line: u64) {
         let range = self.set_range(line);
         let mut victim = range.start;
         let mut victim_use = u64::MAX;
@@ -158,17 +166,23 @@ impl Cache {
                 victim = i;
             }
         }
-        self.tags[victim] = line;
-        self.last_use[victim] = tick;
+        self.tags[victim] = line + 1;
+        self.last_use[victim] = self.tick;
     }
 
+    #[inline]
     fn drain_mshrs(&mut self, cycle: u64) {
+        if self.next_ready > cycle {
+            return;
+        }
         self.mshrs.retain(|m| m.ready > cycle);
+        self.next_ready = self.mshrs.iter().map(|m| m.ready).min().unwrap_or(u64::MAX);
     }
 
     /// Accesses `line` at `cycle`. On a miss, `fill_from` is called with the
     /// cycle the miss request leaves this level and must return the cycle
-    /// the line arrives from below; the line is then installed.
+    /// the line arrives from below; the line is then installed. `line` is
+    /// an address shifted right, so never `u64::MAX`.
     pub fn access<F: FnOnce(u64) -> u64>(
         &mut self,
         line: u64,
@@ -195,19 +209,18 @@ impl Cache {
         self.misses += 1;
         // MSHR-full back-pressure: wait for the earliest completion.
         let start = if self.mshrs.len() >= self.config.mshrs {
-            self.mshrs
-                .iter()
-                .map(|m| m.ready)
-                .min()
-                .expect("mshrs non-empty")
-                .max(cycle)
+            self.next_ready.max(cycle)
         } else {
             cycle
         };
         self.drain_mshrs(start);
         let ready = fill_from(start + self.config.latency);
-        self.fill(line);
+        // The probe above missed and `fill_from` cannot reach this level,
+        // so the line is still absent: install without a second scan.
+        self.tick += 1;
+        self.install(line);
         self.mshrs.push(Mshr { line, ready });
+        self.next_ready = self.next_ready.min(ready);
         AccessResult { ready, hit: false }
     }
 }
@@ -215,6 +228,169 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The cache before sentinel tags, the drain skip and the single-scan
+    /// miss path, kept as the reference the model must match access for
+    /// access.
+    struct RefCache {
+        config: CacheConfig,
+        tags: Vec<u64>,
+        last_use: Vec<u64>,
+        mshrs: Vec<Mshr>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefCache {
+        fn new(config: CacheConfig) -> Self {
+            RefCache {
+                tags: vec![0; config.sets * config.ways],
+                last_use: vec![0; config.sets * config.ways],
+                mshrs: Vec::new(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                config,
+            }
+        }
+
+        fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+            let set = (line as usize) & (self.config.sets - 1);
+            set * self.config.ways..(set + 1) * self.config.ways
+        }
+
+        fn find(&self, line: u64) -> Option<usize> {
+            self.set_range(line)
+                .find(|&i| self.last_use[i] != 0 && self.tags[i] == line)
+        }
+
+        fn fill(&mut self, line: u64) {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(idx) = self.find(line) {
+                self.last_use[idx] = tick;
+                return;
+            }
+            let range = self.set_range(line);
+            let mut victim = range.start;
+            let mut victim_use = u64::MAX;
+            for i in range {
+                let used = self.last_use[i];
+                if used == 0 {
+                    victim = i;
+                    break;
+                }
+                if used < victim_use {
+                    victim_use = used;
+                    victim = i;
+                }
+            }
+            self.tags[victim] = line;
+            self.last_use[victim] = tick;
+        }
+
+        fn access<F: FnOnce(u64) -> u64>(
+            &mut self,
+            line: u64,
+            cycle: u64,
+            fill_from: F,
+        ) -> AccessResult {
+            self.mshrs.retain(|m| m.ready > cycle);
+            if let Some(m) = self.mshrs.iter().find(|m| m.line == line) {
+                return AccessResult {
+                    ready: m.ready.max(cycle + self.config.latency),
+                    hit: false,
+                };
+            }
+            self.tick += 1;
+            if let Some(idx) = self.find(line) {
+                self.last_use[idx] = self.tick;
+                self.hits += 1;
+                return AccessResult {
+                    ready: cycle + self.config.latency,
+                    hit: true,
+                };
+            }
+            self.misses += 1;
+            let start = if self.mshrs.len() >= self.config.mshrs {
+                self.mshrs.iter().map(|m| m.ready).min().unwrap().max(cycle)
+            } else {
+                cycle
+            };
+            self.mshrs.retain(|m| m.ready > start);
+            let ready = fill_from(start + self.config.latency);
+            self.fill(line);
+            self.mshrs.push(Mshr { line, ready });
+            AccessResult { ready, hit: false }
+        }
+    }
+
+    /// Table 1's tag arrays: L1I, L1D, L2, LLC, and both TLB levels
+    /// (64-entry 4-way first level, 1536-entry 12-way second level).
+    fn table1_geometries() -> [CacheConfig; 6] {
+        let cfg = |name, sets, ways, latency, mshrs| CacheConfig {
+            name,
+            sets,
+            ways,
+            latency,
+            mshrs,
+        };
+        [
+            cfg("L1I", 64, 8, 3, 16),
+            cfg("L1D", 64, 12, 5, 16),
+            cfg("L2", 1024, 8, 15, 32),
+            cfg("LLC", 2048, 16, 35, 64),
+            cfg("TLB", 16, 4, 1, 8),
+            cfg("L2TLB", 128, 12, 8, 8),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Same `AccessResult`, hit and miss counts at every step, on every
+        /// Table 1 geometry. Lines come from a small hot range (hits and
+        /// MSHR merges), from four sets holding twice their ways (LRU
+        /// evictions and refills), or from anywhere in twice the capacity.
+        /// Cycles mostly advance but also jump back (prefetch-style), and
+        /// fill latencies vary per line, so MSHRs fill up and drain out of
+        /// order.
+        #[test]
+        fn cache_matches_reference_scan(
+            steps in proptest::collection::vec((any::<u64>(), 0u8..9, 0u64..400), 1..1_500),
+        ) {
+            for config in table1_geometries() {
+                let (sets, ways) = (config.sets as u64, config.ways as u64);
+                let mut cache = Cache::new(config.clone());
+                let mut reference = RefCache::new(config.clone());
+                let mut cycle = 1_000u64;
+                for (step, &(pick, mode, delta)) in steps.iter().enumerate() {
+                    let line = match mode % 3 {
+                        0 => pick % 64,
+                        1 => (pick % (2 * ways)) * sets + (pick >> 40) % 4,
+                        _ => pick % (2 * sets * ways),
+                    };
+                    let at = if mode < 3 {
+                        cycle.saturating_sub(delta)
+                    } else {
+                        cycle += delta % 50;
+                        cycle
+                    };
+                    let delay = 20 + (line * 7 + delta) % 300;
+                    let got = cache.access(line, at, |leave| leave + delay);
+                    let want = reference.access(line, at, |leave| leave + delay);
+                    prop_assert_eq!(got, want, "{} step {}", config.name, step);
+                    prop_assert_eq!(cache.hits(), reference.hits);
+                    prop_assert_eq!(cache.misses(), reference.misses);
+                }
+                for line in 0..2 * sets * ways {
+                    prop_assert_eq!(cache.contains(line), reference.find(line).is_some());
+                }
+            }
+        }
+    }
 
     fn small() -> Cache {
         Cache::new(CacheConfig {
