@@ -14,7 +14,7 @@
 //! 0x2004 Return 0 0x0
 //! ```
 
-use btb_trace::{BranchKind, TraceRecord};
+use btb_trace::{BranchKind, TraceRecord, MAX_CODE_ADDR};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -111,7 +111,14 @@ pub fn parse_repro(text: &str) -> Result<(String, Vec<TraceRecord>), String> {
         if parts.next().is_some() {
             return Err(format!("line {}: trailing fields", n + 1));
         }
-        records.push(TraceRecord::branch(pc, kind, taken, target));
+        let rec = TraceRecord::branch(pc, kind, taken, target);
+        if !rec.in_code_range() {
+            return Err(format!(
+                "line {}: address above {MAX_CODE_ADDR:#x} (the last MiB is reserved)",
+                n + 1
+            ));
+        }
+        records.push(rec);
     }
     let config = config.ok_or("missing `config` line")?;
     Ok((config, records))
@@ -162,5 +169,17 @@ mod tests {
         assert!(parse_repro(&text).is_err());
         let text = format!("{HEADER}\n0x10 Return 1 0x20\n");
         assert!(parse_repro(&text).is_err(), "missing config line");
+    }
+
+    #[test]
+    fn rejects_code_at_the_top_of_the_address_space() {
+        // Used to hang `btb-check replay` in the B-BTB block tracker.
+        let text =
+            format!("{HEADER}\nconfig B-BTB 2BS Splt\n0xfffffffffffffffc UncondDirect 1 0x1000\n");
+        let err = parse_repro(&text).unwrap_err();
+        assert!(err.starts_with("line 3: address above"), "{err}");
+        let text =
+            format!("{HEADER}\nconfig B-BTB 2BS Splt\n0x1000 UncondDirect 1 0xfffffffffff00000\n");
+        assert!(parse_repro(&text).is_err(), "target in the last MiB");
     }
 }

@@ -7,54 +7,206 @@
 //! sometimes-taken conditionals, and its fall-through address is computable
 //! in parallel with the BTB access (`start + block_insts × 4`) — except for
 //! split entries, whose fall-through is the recorded split point.
+//!
+//! The slot logic is the [`BlockLevel`], which [`BlockBtb`] runs as a whole
+//! hierarchy and the heterogeneous organization runs as its L1.
 
-use crate::config::{BtbConfig, BtbLevel, OrgKind};
+use crate::config::{BtbConfig, BtbLevel, BtbTiming, OrgKind};
 use crate::hierarchy::TwoLevel;
-use crate::inspect::{BtbInspection, LevelInspection};
-use crate::org::{bubbles_for, BtbOrganization};
-use crate::plan::{FetchPlan, PlanEnd, PlanSegment, PlannedBranch, PredictionProvider};
-use crate::probe::{BranchProbe, BtbState};
+use crate::inspect::BtbInspection;
+use crate::org::BtbOrganization;
+use crate::plan::{FetchPlan, PredictionProvider};
+use crate::probe::{BranchProbe, BtbState, LevelState};
+use crate::slot::{self, Slot};
 use btb_trace::{Addr, BranchKind, TraceRecord, INST_BYTES};
-use std::collections::HashMap;
 
-/// One branch slot of a block entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BSlot {
-    /// Instruction offset within the block.
-    pub(crate) offset: u16,
-    pub(crate) kind: BranchKind,
-    pub(crate) target: Addr,
-    pub(crate) last_use: u64,
-}
-
-/// One B-BTB entry: slots ordered by offset plus an optional split length.
+/// One block entry: slots ordered by offset plus an optional split length.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct BEntry {
-    pub(crate) slots: Vec<BSlot>,
+    pub(crate) slots: Vec<Slot>,
     /// `Some(n)` when the entry was split after `n` instructions; its
     /// fall-through is then `start + n*4` instead of the full block reach.
     pub(crate) split_len: Option<u16>,
 }
 
 impl BEntry {
-    /// Effective reach of the entry in instructions.
-    pub(crate) fn reach(&self, block_insts: usize) -> u64 {
-        self.split_len.map_or(block_insts as u64, u64::from)
+    /// Records `new` in an entry of at most `max` slots: refresh, insert,
+    /// split (when `split`) or displace. A split returns the split length
+    /// and the moved slot, rebased onto the successor entry.
+    fn record(&mut self, new: Slot, max: usize, split: bool) -> Option<(u16, Slot)> {
+        let tracked = || self.slots.iter().any(|s| s.offset == new.offset);
+        if !split || self.slots.len() < max || tracked() {
+            // Refresh, insert, or without splitting displace the LRU slot
+            // (§6.3 "information is lost").
+            slot::record(&mut self.slots, new, max);
+            return None;
+        }
+        // §6.3: stage n+1 slots, keep the first n, split after the n-th
+        // slot's instruction; the last slot moves to the successor entry.
+        slot::insert(&mut self.slots, new);
+        let mut moved = self.slots.pop().expect("staging has n+1 slots");
+        let split_at = self.slots.last().expect("n >= 1").offset + 1;
+        self.split_len = Some(split_at);
+        moved.offset -= split_at;
+        Some((split_at, moved))
     }
 }
 
-/// Canonical content string for a [`BEntry`] (state dumps); shared with the
-/// heterogeneous organization.
-pub(crate) fn fmt_bentry(e: &BEntry) -> String {
-    let slots = e
-        .slots
-        .iter()
-        .map(|s| format!("o{}:{:?}->{:#x}@{}", s.offset, s.kind, s.target, s.last_use))
-        .collect::<Vec<_>>()
-        .join(";");
-    match e.split_len {
-        Some(n) => format!("{slots}|split={n}"),
-        None => slots,
+/// Block entries of at most `slots` branch slots keyed by block start, plus
+/// the retire-side block tracker.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockLevel {
+    block_insts: usize,
+    pub(crate) slots: usize,
+    split: bool,
+    store: TwoLevel<BEntry>,
+    /// Retire-side block tracker: the start address of the block the next
+    /// retired branch belongs to.
+    cur_block: Option<Addr>,
+}
+
+impl BlockLevel {
+    /// Block entries reaching `block_insts` instructions with `slots` slots
+    /// held in `store`, split on overflow if `split`.
+    pub(crate) fn new(
+        store: TwoLevel<BEntry>,
+        block_insts: usize,
+        slots: usize,
+        split: bool,
+    ) -> Self {
+        assert!(block_insts > 0, "block reach must be non-zero");
+        assert!(slots > 0, "a block entry needs at least one branch slot");
+        BlockLevel {
+            block_insts,
+            slots,
+            split,
+            store,
+            cur_block: None,
+        }
+    }
+
+    pub(crate) fn block_bytes(&self) -> u64 {
+        self.block_insts as u64 * INST_BYTES
+    }
+
+    /// One access at block start `pc`, or `None` when no level holds it.
+    pub(crate) fn plan(
+        &mut self,
+        pc: Addr,
+        oracle: &mut dyn PredictionProvider,
+        timing: &BtbTiming,
+    ) -> Option<FetchPlan> {
+        let (entry, level) = self.store.lookup_fill(pc >> 2)?;
+        let mut branches = Vec::new();
+        let window = pc..Addr::MAX;
+        slot::walk(&entry.slots, pc, window, level, oracle, &mut branches);
+        // Fall-through: full grid reach, or the split point for split
+        // entries (entry information needed, §6.3).
+        let reach = entry.split_len.map_or(self.block_insts as u64, u64::from);
+        let end = pc + reach * INST_BYTES;
+        let used_l2 = level == BtbLevel::L2;
+        let plan = FetchPlan::one_segment(pc, branches, end, used_l2, timing, 0);
+        Some(plan)
+    }
+
+    /// Follows split chains: finds the block (starting at or after `start`)
+    /// whose address range contains `pc`, consulting existing entries'
+    /// split lengths.
+    fn resolve_block(&self, mut start: Addr, pc: Addr) -> Addr {
+        loop {
+            // Advance over full blocks on the fall-through grid.
+            if pc >= start + self.block_bytes() {
+                start += self.block_bytes();
+                continue;
+            }
+            // Advance over a split prefix.
+            if let Some((e, _)) = self.store.peek(start >> 2) {
+                if let Some(len) = e.split_len {
+                    let end = start + u64::from(len) * INST_BYTES;
+                    if pc >= end {
+                        start = end;
+                        continue;
+                    }
+                }
+            }
+            return start;
+        }
+    }
+
+    /// Advances the block tracker over the retired branch `rec`, returning
+    /// the start of the block `rec` belongs to.
+    pub(crate) fn track(&mut self, rec: &TraceRecord) -> Addr {
+        let start = self.resolve_block(self.cur_block.unwrap_or(rec.pc).min(rec.pc), rec.pc);
+        self.cur_block = Some(if rec.taken { rec.target } else { start });
+        start
+    }
+
+    /// Records the taken branch at `pc` with recency `tick` in block
+    /// `start`'s entry, in every level. A split returns the successor
+    /// block's start and the moved slot, for the organization to place.
+    pub(crate) fn record(
+        &mut self,
+        start: Addr,
+        pc: Addr,
+        kind: BranchKind,
+        target: Addr,
+        tick: u64,
+    ) -> Option<(Addr, Slot)> {
+        let new = Slot {
+            offset: ((pc - start) / INST_BYTES) as u16,
+            kind,
+            target,
+            last_use: tick,
+        };
+        let (l1, l2) = self.store.entries_mut(start >> 2, BEntry::default);
+        let mut moved = l1.record(new, self.slots, self.split);
+        if let Some(l2) = l2 {
+            // The successor follows the L2's split.
+            moved = l2.record(new, self.slots, self.split).or(moved);
+        }
+        moved.map(|(split_at, slot)| (start + u64::from(split_at) * INST_BYTES, slot))
+    }
+
+    /// Applies `f` to block `start`'s entry in every level, creating the
+    /// entry where absent.
+    pub(crate) fn update_entry(&mut self, start: Addr, f: impl FnMut(&mut BEntry)) {
+        self.store.update_with(start >> 2, BEntry::default, f);
+    }
+
+    /// Scans every block start whose reach could cover `pc`; the nearest
+    /// start (smallest distance) wins, mirroring the fact that a block
+    /// access at that start would serve the branch.
+    pub(crate) fn probe(&self, pc: Addr) -> Option<BranchProbe> {
+        for d in 0..self.block_insts as u64 {
+            let Some(start) = pc.checked_sub(d * INST_BYTES) else {
+                break;
+            };
+            if let Some((e, level)) = self.store.peek(start >> 2) {
+                if let Some(slot) = e.slots.iter().find(|s| u64::from(s.offset) == d) {
+                    return Some(BranchProbe {
+                        level,
+                        kind: slot.kind,
+                        target: slot.target,
+                    });
+                }
+            }
+        }
+        None
+    }
+
+    pub(crate) fn dump_levels(&self) -> (LevelState, Option<LevelState>) {
+        self.store.dump_levels(|e| match e.split_len {
+            Some(n) => format!("{}|split={n}", slot::fmt_slots(&e.slots)),
+            None => slot::fmt_slots(&e.slots),
+        })
+    }
+
+    pub(crate) fn inspect(&self) -> BtbInspection {
+        BtbInspection::of(&self.store, self.slots, |k, e, add| {
+            for s in &e.slots {
+                add((k << 2) + u64::from(s.offset) * INST_BYTES);
+            }
+        })
     }
 }
 
@@ -62,13 +214,7 @@ pub(crate) fn fmt_bentry(e: &BEntry) -> String {
 #[derive(Debug, Clone)]
 pub struct BlockBtb {
     config: BtbConfig,
-    block_insts: usize,
-    slots: usize,
-    split: bool,
-    store: TwoLevel<BEntry>,
-    /// Retire-side block tracker: the start address of the block the next
-    /// retired branch belongs to.
-    cur_block: Option<Addr>,
+    blocks: BlockLevel,
     tick: u64,
 }
 
@@ -88,137 +234,11 @@ impl BlockBtb {
         else {
             panic!("BlockBtb requires OrgKind::Block");
         };
-        assert!(block_insts > 0, "block reach must be non-zero");
-        assert!(slots > 0, "B-BTB needs at least one branch slot");
+        let store = TwoLevel::new(config.l1, config.l2);
         BlockBtb {
-            store: TwoLevel::new(config.l1, config.l2),
-            block_insts,
-            slots,
-            split,
+            blocks: BlockLevel::new(store, block_insts, slots, split),
             config,
-            cur_block: None,
             tick: 0,
-        }
-    }
-
-    fn block_bytes(&self) -> u64 {
-        self.block_insts as u64 * INST_BYTES
-    }
-
-    fn key(pc: Addr) -> u64 {
-        pc >> 2
-    }
-
-    fn predict_slot(slot: &BSlot, pc: Addr, oracle: &mut dyn PredictionProvider) -> (bool, Addr) {
-        match slot.kind {
-            BranchKind::CondDirect => (oracle.predict_cond(pc), slot.target),
-            BranchKind::UncondDirect | BranchKind::DirectCall => (true, slot.target),
-            BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                (true, oracle.predict_indirect(pc).unwrap_or(slot.target))
-            }
-            BranchKind::Return => (true, oracle.predict_return(pc).unwrap_or(slot.target)),
-        }
-    }
-
-    /// Follows split chains: finds the block (starting at or after `start`)
-    /// whose address range contains `pc`, consulting existing entries'
-    /// split lengths.
-    fn resolve_block(&self, mut start: Addr, pc: Addr) -> Addr {
-        loop {
-            // Advance over full blocks on the fall-through grid.
-            if pc >= start + self.block_bytes() {
-                start += self.block_bytes();
-                continue;
-            }
-            // Advance over a split prefix.
-            if let Some((e, _)) = self.store.peek(Self::key(start)) {
-                if let Some(len) = e.split_len {
-                    let end = start + u64::from(len) * INST_BYTES;
-                    if pc >= end {
-                        start = end;
-                        continue;
-                    }
-                }
-            }
-            return start;
-        }
-    }
-
-    /// Records a taken branch into the entry for block `start`.
-    fn record_taken(&mut self, start: Addr, rec: &TraceRecord, kind: BranchKind) {
-        self.tick += 1;
-        let tick = self.tick;
-        let offset = ((rec.pc - start) / INST_BYTES) as u16;
-        let target = rec.target;
-        let max_slots = self.slots;
-        let split = self.split;
-        // The split decision must be consistent across levels: compute it on
-        // the shared (authoritative) content, then apply.
-        let mut overflow_split: Option<(BSlot, u16)> = None;
-        self.store
-            .update_with(Self::key(start), BEntry::default, |e| {
-                if let Some(s) = e.slots.iter_mut().find(|s| s.offset == offset) {
-                    s.kind = kind;
-                    s.target = target;
-                    s.last_use = tick;
-                    return;
-                }
-                let new = BSlot {
-                    offset,
-                    kind,
-                    target,
-                    last_use: tick,
-                };
-                let at = e.slots.partition_point(|s| s.offset < offset);
-                if e.slots.len() < max_slots {
-                    e.slots.insert(at, new);
-                    return;
-                }
-                if split {
-                    // §6.3: stage n+1 slots, keep the first n, split after the
-                    // n-th slot's instruction; the overflow slot moves to the
-                    // successor entry.
-                    let mut staging = e.slots.clone();
-                    staging.insert(at, new);
-                    let moved = staging.pop().expect("staging has n+1 slots");
-                    let split_at = staging.last().expect("n >= 1").offset + 1;
-                    e.slots = staging;
-                    e.split_len = Some(split_at);
-                    overflow_split = Some((moved, split_at));
-                } else {
-                    // Baseline: displace the LRU slot (§6.3 "information is
-                    // lost").
-                    let victim = e
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, s)| s.last_use)
-                        .map(|(i, _)| i)
-                        .expect("slots non-empty");
-                    e.slots.remove(victim);
-                    let at = e.slots.partition_point(|s| s.offset < offset);
-                    e.slots.insert(at, new);
-                }
-            });
-        if let Some((moved, split_at)) = overflow_split {
-            let succ_start = start + u64::from(split_at) * INST_BYTES;
-            let rebased = BSlot {
-                offset: moved.offset - split_at,
-                ..moved
-            };
-            self.store
-                .update_with(Self::key(succ_start), BEntry::default, |e| {
-                    if let Some(s) = e.slots.iter_mut().find(|s| s.offset == rebased.offset) {
-                        s.kind = rebased.kind;
-                        s.target = rebased.target;
-                        s.last_use = tick;
-                    } else if e.slots.len() < max_slots {
-                        let at = e.slots.partition_point(|s| s.offset < rebased.offset);
-                        e.slots.insert(at, rebased.clone());
-                    }
-                    // If the successor is itself full, the moved branch is
-                    // dropped; it will re-allocate on its next execution.
-                });
         }
     }
 }
@@ -233,91 +253,46 @@ impl BtbOrganization for BlockBtb {
     }
 
     fn plan(&mut self, pc: Addr, oracle: &mut dyn PredictionProvider) -> FetchPlan {
-        let Some((entry, level)) = self.store.lookup_fill(Self::key(pc)) else {
-            // Miss: the frontend speculates sequentially over a full block.
-            return FetchPlan::sequential(pc, self.block_insts as u64);
-        };
-        let used_l2 = level == BtbLevel::L2;
-        let mut branches = Vec::new();
-        for slot in &entry.slots {
-            let slot_pc = pc + u64::from(slot.offset) * INST_BYTES;
-            let (taken, target) = Self::predict_slot(slot, slot_pc, oracle);
-            if slot.kind.is_call() && taken {
-                oracle.note_call(slot_pc + INST_BYTES);
-            }
-            branches.push(PlannedBranch {
-                pc: slot_pc,
-                kind: slot.kind,
-                taken,
-                target,
-                level,
-            });
-            if taken {
-                return FetchPlan {
-                    access_pc: pc,
-                    segments: vec![PlanSegment {
-                        start: pc,
-                        end: slot_pc + INST_BYTES,
-                    }],
-                    branches,
-                    next_pc: target,
-                    bubbles: bubbles_for(level, slot.kind, &self.config.timing),
-                    end: PlanEnd::TakenBranch,
-                    used_l2,
-                };
-            }
-        }
-        // Fall-through: full grid reach, or the split point for split
-        // entries (entry information needed, §6.3).
-        let reach = entry.reach(self.block_insts);
-        let end = pc + reach * INST_BYTES;
-        FetchPlan {
-            access_pc: pc,
-            segments: vec![PlanSegment { start: pc, end }],
-            branches,
-            next_pc: end,
-            bubbles: 0,
-            end: PlanEnd::WindowEnd,
-            used_l2,
-        }
+        let reach = self.blocks.block_insts as u64;
+        // Miss: the frontend speculates sequentially over a full block.
+        (self.blocks.plan(pc, oracle, &self.config.timing))
+            .unwrap_or_else(|| FetchPlan::sequential(pc, reach))
     }
 
     fn update(&mut self, rec: &TraceRecord) {
         let Some(kind) = rec.branch_kind() else {
             return;
         };
-        let start = self.resolve_block(self.cur_block.unwrap_or(rec.pc).min(rec.pc), rec.pc);
-        if rec.taken {
-            self.record_taken(start, rec, kind);
-            self.cur_block = Some(rec.target);
-        } else {
-            self.cur_block = Some(start);
+        let start = self.blocks.track(rec);
+        if !rec.taken {
+            return;
         }
+        self.tick += 1;
+        let tick = self.tick;
+        let Some((succ, moved)) = self.blocks.record(start, rec.pc, kind, rec.target, tick) else {
+            return;
+        };
+        let max = self.blocks.slots;
+        self.blocks.update_entry(succ, |e| {
+            if let Some(s) = e.slots.iter_mut().find(|s| s.offset == moved.offset) {
+                *s = Slot {
+                    last_use: tick,
+                    ..moved
+                };
+            } else if e.slots.len() < max {
+                slot::insert(&mut e.slots, moved);
+            }
+            // If the successor is itself full, the moved branch is dropped;
+            // it will re-allocate on its next execution.
+        });
     }
 
     fn probe_branch(&self, pc: Addr) -> Option<BranchProbe> {
-        // Scan every block start whose reach could cover `pc`; the nearest
-        // start (smallest distance) wins, mirroring the fact that a block
-        // access at that start would serve the branch.
-        for d in 0..self.block_insts as u64 {
-            let Some(start) = pc.checked_sub(d * INST_BYTES) else {
-                break;
-            };
-            if let Some((e, level)) = self.store.peek(Self::key(start)) {
-                if let Some(slot) = e.slots.iter().find(|s| u64::from(s.offset) == d) {
-                    return Some(BranchProbe {
-                        level,
-                        kind: slot.kind,
-                        target: slot.target,
-                    });
-                }
-            }
-        }
-        None
+        self.blocks.probe(pc)
     }
 
     fn dump_state(&self) -> BtbState {
-        let (l1, l2) = self.store.dump_levels(fmt_bentry);
+        let (l1, l2) = self.blocks.dump_levels();
         BtbState {
             l1,
             l2,
@@ -326,22 +301,7 @@ impl BtbOrganization for BlockBtb {
     }
 
     fn inspect(&self) -> BtbInspection {
-        let slots = self.slots;
-        let level = |s: &crate::storage::SetAssoc<BEntry>| {
-            let mut counts: HashMap<u64, u64> = HashMap::new();
-            for (k, e) in s.iter() {
-                let start = k << 2;
-                for slot in &e.slots {
-                    let pc = start + u64::from(slot.offset) * INST_BYTES;
-                    *counts.entry(pc).or_insert(0) += 1;
-                }
-            }
-            LevelInspection::from_branch_map(s.len(), s.capacity(), slots, &counts)
-        };
-        BtbInspection {
-            l1: level(self.store.l1()),
-            l2: self.store.l2().map(level).unwrap_or_default(),
-        }
+        self.blocks.inspect()
     }
 }
 

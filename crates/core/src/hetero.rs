@@ -7,31 +7,26 @@
 //! Lookup: the L1 is accessed with the block-start address like a B-BTB; on
 //! a miss, the L2 region entries covering the block window provide branch
 //! metadata (with L2 taken-branch bubbles). Updates train both structures
-//! independently (immediate update).
+//! independently (immediate update), stamping slot recency from one tick
+//! counter: the L1 update takes one tick, the L2 update the next.
 
-use crate::bbtb::{fmt_bentry, BEntry, BSlot};
+use crate::bbtb::BlockLevel;
 use crate::config::{BtbConfig, BtbLevel, OrgKind};
-use crate::inspect::{BtbInspection, LevelInspection};
-use crate::org::{bubbles_for, BtbOrganization};
-use crate::plan::{FetchPlan, PlanEnd, PlanSegment, PlannedBranch, PredictionProvider};
-use crate::probe::{BranchProbe, BtbState, LevelState};
-use crate::rbtb::{fmt_rentry, REntry, RSlot};
-use crate::storage::SetAssoc;
-use btb_trace::{Addr, BranchKind, TraceRecord, INST_BYTES};
-use std::collections::HashMap;
+use crate::hierarchy::TwoLevel;
+use crate::inspect::BtbInspection;
+use crate::org::BtbOrganization;
+use crate::plan::{FetchPlan, PredictionProvider};
+use crate::probe::{BranchProbe, BtbState};
+use crate::rbtb::RegionLevel;
+use crate::slot;
+use btb_trace::{Addr, TraceRecord};
 
 /// A Block-BTB L1 backed by a Region-BTB L2.
 #[derive(Debug, Clone)]
 pub struct HeteroBtb {
     config: BtbConfig,
-    block_insts: usize,
-    l1_slots: usize,
-    split: bool,
-    region_bytes: u64,
-    l2_slots: usize,
-    l1: SetAssoc<BEntry>,
-    l2: SetAssoc<REntry>,
-    cur_block: Option<Addr>,
+    blocks: BlockLevel,
+    regions: RegionLevel,
     tick: u64,
 }
 
@@ -55,270 +50,14 @@ impl HeteroBtb {
             panic!("HeteroBtb requires OrgKind::HeteroBlockRegion");
         };
         let l2_geo = config.l2.expect("heterogeneous hierarchy needs an L2");
-        assert!(region_bytes.is_power_of_two() && region_bytes >= INST_BYTES);
-        assert!(block_insts > 0 && l1_slots > 0 && l2_slots > 0);
+        let l1 = TwoLevel::single(config.l1, BtbLevel::L1);
+        let l2 = TwoLevel::single(l2_geo, BtbLevel::L2);
         HeteroBtb {
-            l1: SetAssoc::new(config.l1.sets, config.l1.ways),
-            l2: SetAssoc::new(l2_geo.sets, l2_geo.ways),
-            block_insts,
-            l1_slots,
-            split,
-            region_bytes,
-            l2_slots,
+            blocks: BlockLevel::new(l1, block_insts, l1_slots, split),
+            regions: RegionLevel::new(l2, region_bytes, l2_slots, None),
             config,
-            cur_block: None,
             tick: 0,
         }
-    }
-
-    fn block_bytes(&self) -> u64 {
-        self.block_insts as u64 * INST_BYTES
-    }
-
-    fn region_of(&self, pc: Addr) -> Addr {
-        pc & !(self.region_bytes - 1)
-    }
-
-    fn predict(
-        kind: BranchKind,
-        target: Addr,
-        pc: Addr,
-        oracle: &mut dyn PredictionProvider,
-    ) -> (bool, Addr) {
-        match kind {
-            BranchKind::CondDirect => (oracle.predict_cond(pc), target),
-            BranchKind::UncondDirect | BranchKind::DirectCall => (true, target),
-            BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                (true, oracle.predict_indirect(pc).unwrap_or(target))
-            }
-            BranchKind::Return => (true, oracle.predict_return(pc).unwrap_or(target)),
-        }
-    }
-
-    /// Plans from an L1 block entry (B-BTB semantics, level L1).
-    fn plan_from_l1(
-        &self,
-        pc: Addr,
-        entry: &BEntry,
-        oracle: &mut dyn PredictionProvider,
-    ) -> FetchPlan {
-        let mut branches = Vec::new();
-        for slot in &entry.slots {
-            let slot_pc = pc + u64::from(slot.offset) * INST_BYTES;
-            let (taken, target) = Self::predict(slot.kind, slot.target, slot_pc, oracle);
-            if slot.kind.is_call() && taken {
-                oracle.note_call(slot_pc + INST_BYTES);
-            }
-            branches.push(PlannedBranch {
-                pc: slot_pc,
-                kind: slot.kind,
-                taken,
-                target,
-                level: BtbLevel::L1,
-            });
-            if taken {
-                return FetchPlan {
-                    access_pc: pc,
-                    segments: vec![PlanSegment {
-                        start: pc,
-                        end: slot_pc + INST_BYTES,
-                    }],
-                    branches,
-                    next_pc: target,
-                    bubbles: bubbles_for(BtbLevel::L1, slot.kind, &self.config.timing),
-                    end: PlanEnd::TakenBranch,
-                    used_l2: false,
-                };
-            }
-        }
-        let reach = entry.reach(self.block_insts);
-        let end = pc + reach * INST_BYTES;
-        FetchPlan {
-            access_pc: pc,
-            segments: vec![PlanSegment { start: pc, end }],
-            branches,
-            next_pc: end,
-            bubbles: 0,
-            end: PlanEnd::WindowEnd,
-            used_l2: false,
-        }
-    }
-
-    /// Plans from the L2 region entries covering the block window (level
-    /// L2: taken branches pay the L2 bubbles).
-    fn plan_from_l2(&mut self, pc: Addr, oracle: &mut dyn PredictionProvider) -> FetchPlan {
-        let window_end = pc + self.block_bytes();
-        let mut branches = Vec::new();
-        let mut any = false;
-        let mut region = self.region_of(pc);
-        while region < window_end {
-            if let Some(idx) = self.l2.touch(region / self.region_bytes) {
-                any = true;
-                let entry = self.l2.at(idx);
-                for slot in &entry.slots {
-                    let slot_pc = region + u64::from(slot.offset) * INST_BYTES;
-                    if slot_pc < pc || slot_pc >= window_end {
-                        continue;
-                    }
-                    let (taken, target) = Self::predict(slot.kind, slot.target, slot_pc, oracle);
-                    if slot.kind.is_call() && taken {
-                        oracle.note_call(slot_pc + INST_BYTES);
-                    }
-                    branches.push(PlannedBranch {
-                        pc: slot_pc,
-                        kind: slot.kind,
-                        taken,
-                        target,
-                        level: BtbLevel::L2,
-                    });
-                    if taken {
-                        return FetchPlan {
-                            access_pc: pc,
-                            segments: vec![PlanSegment {
-                                start: pc,
-                                end: slot_pc + INST_BYTES,
-                            }],
-                            branches,
-                            next_pc: target,
-                            bubbles: bubbles_for(BtbLevel::L2, slot.kind, &self.config.timing),
-                            end: PlanEnd::TakenBranch,
-                            used_l2: true,
-                        };
-                    }
-                }
-            }
-            region += self.region_bytes;
-        }
-        FetchPlan {
-            access_pc: pc,
-            segments: vec![PlanSegment {
-                start: pc,
-                end: window_end,
-            }],
-            branches,
-            next_pc: window_end,
-            bubbles: 0,
-            end: PlanEnd::WindowEnd,
-            used_l2: any,
-        }
-    }
-
-    /// Follows L1 split chains to find the block containing `pc`.
-    fn resolve_block(&self, mut start: Addr, pc: Addr) -> Addr {
-        loop {
-            if pc >= start + self.block_bytes() {
-                start += self.block_bytes();
-                continue;
-            }
-            if let Some(e) = self.l1.peek(start >> 2) {
-                if let Some(len) = e.split_len {
-                    let end = start + u64::from(len) * INST_BYTES;
-                    if pc >= end {
-                        start = end;
-                        continue;
-                    }
-                }
-            }
-            return start;
-        }
-    }
-
-    /// B-BTB-style L1 update for a taken branch in block `start`.
-    fn update_l1(&mut self, start: Addr, rec: &TraceRecord, kind: BranchKind) {
-        self.tick += 1;
-        let tick = self.tick;
-        let offset = ((rec.pc - start) / INST_BYTES) as u16;
-        let target = rec.target;
-        let max_slots = self.l1_slots;
-        let split = self.split;
-        let mut overflow: Option<(BSlot, u16)> = None;
-        {
-            let (e, _evicted) = self.l1.get_or_insert_with(start >> 2, BEntry::default);
-            if let Some(s) = e.slots.iter_mut().find(|s| s.offset == offset) {
-                s.kind = kind;
-                s.target = target;
-                s.last_use = tick;
-            } else {
-                let new = BSlot {
-                    offset,
-                    kind,
-                    target,
-                    last_use: tick,
-                };
-                let at = e.slots.partition_point(|s| s.offset < offset);
-                if e.slots.len() < max_slots {
-                    e.slots.insert(at, new);
-                } else if split {
-                    let mut staging = e.slots.clone();
-                    staging.insert(at, new);
-                    let moved = staging.pop().expect("n+1 slots");
-                    let split_at = staging.last().expect("n >= 1").offset + 1;
-                    e.slots = staging;
-                    e.split_len = Some(split_at);
-                    overflow = Some((moved, split_at));
-                } else {
-                    let victim = e
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, s)| s.last_use)
-                        .map(|(i, _)| i)
-                        .expect("non-empty");
-                    e.slots.remove(victim);
-                    let at = e.slots.partition_point(|s| s.offset < offset);
-                    e.slots.insert(at, new);
-                }
-            }
-        }
-        if let Some((moved, split_at)) = overflow {
-            let succ = start + u64::from(split_at) * INST_BYTES;
-            let rebased = BSlot {
-                offset: moved.offset - split_at,
-                ..moved
-            };
-            let (e, _evicted) = self.l1.get_or_insert_with(succ >> 2, BEntry::default);
-            if !e.slots.iter().any(|s| s.offset == rebased.offset) && e.slots.len() < max_slots {
-                let at = e.slots.partition_point(|s| s.offset < rebased.offset);
-                e.slots.insert(at, rebased);
-            }
-        }
-    }
-
-    /// R-BTB-style L2 update for a taken branch.
-    fn update_l2(&mut self, rec: &TraceRecord, kind: BranchKind) {
-        self.tick += 1;
-        let tick = self.tick;
-        let region = self.region_of(rec.pc);
-        let offset = ((rec.pc - region) / INST_BYTES) as u16;
-        let target = rec.target;
-        let max_slots = self.l2_slots;
-        let (e, _evicted) = self
-            .l2
-            .get_or_insert_with(region / self.region_bytes, REntry::default);
-        if let Some(s) = e.slots.iter_mut().find(|s| s.offset == offset) {
-            s.kind = kind;
-            s.target = target;
-            s.last_use = tick;
-            return;
-        }
-        let new = RSlot {
-            offset,
-            kind,
-            target,
-            last_use: tick,
-        };
-        if e.slots.len() >= max_slots {
-            let victim = e
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            e.slots.remove(victim);
-        }
-        let at = e.slots.partition_point(|s| s.offset < offset);
-        e.slots.insert(at, new);
     }
 }
 
@@ -332,96 +71,56 @@ impl BtbOrganization for HeteroBtb {
     }
 
     fn plan(&mut self, pc: Addr, oracle: &mut dyn PredictionProvider) -> FetchPlan {
-        // Index-based lookup so the entry can be borrowed (not cloned)
-        // while `plan_from_l1` reads the rest of `self`.
-        if let Some(idx) = self.l1.touch(pc >> 2) {
-            return self.plan_from_l1(pc, self.l1.at(idx), oracle);
-        }
-        self.plan_from_l2(pc, oracle)
+        let (timing, end) = (&self.config.timing, pc + self.blocks.block_bytes());
+        (self.blocks.plan(pc, oracle, timing))
+            .unwrap_or_else(|| self.regions.plan(pc, end, oracle, timing))
     }
 
     fn update(&mut self, rec: &TraceRecord) {
         let Some(kind) = rec.branch_kind() else {
             return;
         };
-        let start = self.resolve_block(self.cur_block.unwrap_or(rec.pc).min(rec.pc), rec.pc);
-        if rec.taken {
-            self.update_l1(start, rec, kind);
-            self.update_l2(rec, kind);
-            self.cur_block = Some(rec.target);
-        } else {
-            self.cur_block = Some(start);
+        let start = self.blocks.track(rec);
+        if !rec.taken {
+            return;
         }
+        self.tick += 1;
+        let split = self
+            .blocks
+            .record(start, rec.pc, kind, rec.target, self.tick);
+        if let Some((succ, moved)) = split {
+            // Unlike B-BTB, a successor that already tracks the moved
+            // branch keeps its slot unchanged: a known quirk, kept so that
+            // existing reports stay byte-identical.
+            let max = self.blocks.slots;
+            self.blocks.update_entry(succ, |e| {
+                if e.slots.len() < max && e.slots.iter().all(|s| s.offset != moved.offset) {
+                    slot::insert(&mut e.slots, moved);
+                }
+            });
+        }
+        self.tick += 1;
+        self.regions.record(rec.pc, kind, rec.target, self.tick);
     }
 
     fn probe_branch(&self, pc: Addr) -> Option<BranchProbe> {
         // B-style scan over the L1 block entries first (like `plan`), then
         // the R-style L2 region entry.
-        for d in 0..self.block_insts as u64 {
-            let Some(start) = pc.checked_sub(d * INST_BYTES) else {
-                break;
-            };
-            if let Some(e) = self.l1.peek(start >> 2) {
-                if let Some(slot) = e.slots.iter().find(|s| u64::from(s.offset) == d) {
-                    return Some(BranchProbe {
-                        level: BtbLevel::L1,
-                        kind: slot.kind,
-                        target: slot.target,
-                    });
-                }
-            }
-        }
-        let region = self.region_of(pc);
-        let offset = ((pc - region) / INST_BYTES) as u16;
-        let e = self.l2.peek(region / self.region_bytes)?;
-        let slot = e.slots.iter().find(|s| s.offset == offset)?;
-        Some(BranchProbe {
-            level: BtbLevel::L2,
-            kind: slot.kind,
-            target: slot.target,
-        })
+        self.blocks.probe(pc).or_else(|| self.regions.probe(pc))
     }
 
     fn dump_state(&self) -> BtbState {
         BtbState {
-            l1: LevelState {
-                sets: self.l1.dump_with(fmt_bentry),
-            },
-            l2: Some(LevelState {
-                sets: self.l2.dump_with(fmt_rentry),
-            }),
+            l1: self.blocks.dump_levels().0,
+            l2: Some(self.regions.dump_state().l1),
             aux: Vec::new(),
         }
     }
 
     fn inspect(&self) -> BtbInspection {
-        let mut l1_counts: HashMap<u64, u64> = HashMap::new();
-        for (k, e) in self.l1.iter() {
-            for slot in &e.slots {
-                let pc = (k << 2) + u64::from(slot.offset) * INST_BYTES;
-                *l1_counts.entry(pc).or_insert(0) += 1;
-            }
-        }
-        let mut l2_counts: HashMap<u64, u64> = HashMap::new();
-        for (k, e) in self.l2.iter() {
-            for slot in &e.slots {
-                let pc = k * self.region_bytes + u64::from(slot.offset) * INST_BYTES;
-                *l2_counts.entry(pc).or_insert(0) += 1;
-            }
-        }
         BtbInspection {
-            l1: LevelInspection::from_branch_map(
-                self.l1.len(),
-                self.l1.capacity(),
-                self.l1_slots,
-                &l1_counts,
-            ),
-            l2: LevelInspection::from_branch_map(
-                self.l2.len(),
-                self.l2.capacity(),
-                self.l2_slots,
-                &l2_counts,
-            ),
+            l1: self.blocks.inspect().l1,
+            l2: self.regions.inspect().l1,
         }
     }
 }
@@ -431,6 +130,7 @@ mod tests {
     use super::*;
     use crate::config::LevelGeometry;
     use crate::plan::FixedOracle;
+    use btb_trace::BranchKind;
 
     fn hetero(l1_slots: usize, l2_slots: usize) -> HeteroBtb {
         HeteroBtb::new(BtbConfig {
@@ -472,7 +172,11 @@ mod tests {
             let alias = 0x1008 + i * 4 * 4 * 4; // same L1 set (4 sets × >>2)
             b.update(&taken(alias, BranchKind::UncondDirect, 0x2000));
         }
-        assert!(b.l1.peek(0x1008 >> 2).is_none(), "L1 entry evicted");
+        let l1_keys = b.dump_state().l1.sets.into_iter().flatten();
+        assert!(
+            l1_keys.map(|(k, _)| k).all(|k| k != 0x1008 >> 2),
+            "L1 entry evicted"
+        );
         let p = b.plan(0x1008, &mut FixedOracle::default());
         assert!(p.used_l2, "L2 region must provide the metadata");
         assert_eq!(p.next_pc, 0x2000);

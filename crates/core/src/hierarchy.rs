@@ -1,6 +1,7 @@
 //! A two-level BTB storage helper: L1 backed by an optional L2, with
 //! fill-on-L2-hit and write-both updates (the paper models immediate updates
-//! and zero fill latency, §4.1).
+//! and zero fill latency, §4.1). A single table can also stand alone as
+//! either level of a heterogeneous hierarchy ([`TwoLevel::single`]).
 
 use crate::config::{BtbLevel, LevelGeometry};
 use crate::probe::LevelState;
@@ -11,6 +12,9 @@ use crate::storage::SetAssoc;
 pub struct TwoLevel<E: Clone> {
     l1: SetAssoc<E>,
     l2: Option<SetAssoc<E>>,
+    /// The level the first table answers as: `L1`, except for a lone
+    /// table standing as a heterogeneous hierarchy's L2.
+    first: BtbLevel,
 }
 
 impl<E: Clone> TwoLevel<E> {
@@ -20,6 +24,16 @@ impl<E: Clone> TwoLevel<E> {
         TwoLevel {
             l1: SetAssoc::new(l1.sets, l1.ways),
             l2: l2.map(|g| SetAssoc::new(g.sets, g.ways)),
+            first: BtbLevel::L1,
+        }
+    }
+
+    /// One table of geometry `geo` whose lookups and peeks answer as
+    /// `level` (one level of a heterogeneous hierarchy).
+    pub(crate) fn single(geo: LevelGeometry, level: BtbLevel) -> Self {
+        TwoLevel {
+            first: level,
+            ..Self::new(geo, None)
         }
     }
 
@@ -29,7 +43,7 @@ impl<E: Clone> TwoLevel<E> {
     #[inline]
     pub fn lookup_fill(&mut self, key: u64) -> Option<(&E, BtbLevel)> {
         if let Some(idx) = self.l1.touch(key) {
-            return Some((self.l1.at(idx), BtbLevel::L1));
+            return Some((self.l1.at(idx), self.first));
         }
         let l2 = self.l2.as_mut()?;
         let l2_idx = l2.touch(key)?;
@@ -39,10 +53,11 @@ impl<E: Clone> TwoLevel<E> {
     }
 
     /// Looks up `key` without filling or touching recency.
+    #[inline]
     #[must_use]
     pub fn peek(&self, key: u64) -> Option<(&E, BtbLevel)> {
         if let Some(e) = self.l1.peek(key) {
-            return Some((e, BtbLevel::L1));
+            return Some((e, self.first));
         }
         if let Some(l2) = &self.l2 {
             if let Some(e) = l2.peek(key) {
@@ -55,31 +70,27 @@ impl<E: Clone> TwoLevel<E> {
     /// Applies `f` to the entry for `key` in every level, creating it with
     /// `default` where absent (immediate write-both update).
     pub fn update_with<D: Fn() -> E, F: FnMut(&mut E)>(&mut self, key: u64, default: D, mut f: F) {
-        {
-            let (e, _evicted) = self.l1.get_or_insert_with(key, &default);
-            f(e);
-        }
-        if let Some(l2) = &mut self.l2 {
-            let (e, _evicted) = l2.get_or_insert_with(key, &default);
-            f(e);
+        let (l1, l2) = self.entries_mut(key, default);
+        f(l1);
+        if let Some(l2) = l2 {
+            f(l2);
         }
     }
 
-    /// Applies `f` only to levels where `key` already exists; returns true
-    /// if any level held the entry.
-    pub fn modify_existing<F: FnMut(&mut E)>(&mut self, key: u64, mut f: F) -> bool {
-        let mut any = false;
-        if let Some(e) = self.l1.get_mut(key) {
-            f(e);
-            any = true;
-        }
-        if let Some(l2) = &mut self.l2 {
-            if let Some(e) = l2.get_mut(key) {
-                f(e);
-                any = true;
-            }
-        }
-        any
+    /// The entry for `key` in the L1 and, if any, the L2, each created with
+    /// `default` where absent.
+    #[inline]
+    pub(crate) fn entries_mut<D: Fn() -> E>(
+        &mut self,
+        key: u64,
+        default: D,
+    ) -> (&mut E, Option<&mut E>) {
+        let l1 = self.l1.get_or_insert_with(key, &default).0;
+        let l2 = self
+            .l2
+            .as_mut()
+            .map(|l2| l2.get_or_insert_with(key, &default).0);
+        (l1, l2)
     }
 
     /// Writes `entry` to every level (read-modify-write updates that must
@@ -113,14 +124,6 @@ impl<E: Clone> TwoLevel<E> {
         if let Some(e) = l2.get(key) {
             let cloned = e.clone();
             self.l1.insert(key, cloned);
-        }
-    }
-
-    /// Removes `key` from all levels.
-    pub fn remove(&mut self, key: u64) {
-        self.l1.remove(key);
-        if let Some(l2) = &mut self.l2 {
-            l2.remove(key);
         }
     }
 
@@ -185,22 +188,5 @@ mod tests {
         h.update_with(9, || 3, |_| {});
         assert_eq!(h.lookup_fill(9), Some((&3, BtbLevel::L1)));
         assert_eq!(h.lookup_fill(10), None);
-    }
-
-    #[test]
-    fn modify_existing_skips_absent() {
-        let mut h: TwoLevel<u32> = TwoLevel::new(geo(4, 2), None);
-        assert!(!h.modify_existing(1, |e| *e = 9));
-        h.update_with(1, || 0, |_| {});
-        assert!(h.modify_existing(1, |e| *e = 9));
-        assert_eq!(h.l1.peek(1), Some(&9));
-    }
-
-    #[test]
-    fn remove_clears_all_levels() {
-        let mut h: TwoLevel<u32> = TwoLevel::new(geo(2, 2), Some(geo(2, 2)));
-        h.update_with(3, || 1, |_| {});
-        h.remove(3);
-        assert!(h.peek(3).is_none());
     }
 }

@@ -3,12 +3,11 @@
 
 use crate::config::{BtbConfig, BtbLevel, OrgKind};
 use crate::hierarchy::TwoLevel;
-use crate::inspect::{BtbInspection, LevelInspection};
+use crate::inspect::BtbInspection;
 use crate::org::{bubbles_for, BtbOrganization};
 use crate::plan::{FetchPlan, PlanEnd, PlanSegment, PlannedBranch, PredictionProvider};
 use crate::probe::{BranchProbe, BtbState};
 use btb_trace::{Addr, BranchKind, TraceRecord, INST_BYTES};
-use std::collections::HashMap;
 
 /// One I-BTB entry: the metadata of a single branch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,22 +48,6 @@ impl InstructionBtb {
     fn key(pc: Addr) -> u64 {
         pc >> 2
     }
-
-    /// Resolves the prediction of a tracked branch.
-    fn predict_branch(
-        entry: &IEntry,
-        pc: Addr,
-        oracle: &mut dyn PredictionProvider,
-    ) -> (bool, Addr) {
-        match entry.kind {
-            BranchKind::CondDirect => (oracle.predict_cond(pc), entry.target),
-            BranchKind::UncondDirect | BranchKind::DirectCall => (true, entry.target),
-            BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                (true, oracle.predict_indirect(pc).unwrap_or(entry.target))
-            }
-            BranchKind::Return => (true, oracle.predict_return(pc).unwrap_or(entry.target)),
-        }
-    }
 }
 
 impl BtbOrganization for InstructionBtb {
@@ -87,39 +70,30 @@ impl BtbOrganization for InstructionBtb {
         while produced < self.width {
             if let Some((entry, level)) = self.store.lookup_fill(Self::key(cur)) {
                 used_l2 |= level == BtbLevel::L2;
-                let (taken, target) = Self::predict_branch(entry, cur, oracle);
-                if entry.kind.is_call() && taken {
-                    oracle.note_call(cur + INST_BYTES);
-                }
-                branches.push(PlannedBranch {
-                    pc: cur,
-                    kind: entry.kind,
-                    taken,
-                    target,
-                    level,
-                });
-                if taken {
+                let b = PlannedBranch::predict(cur, entry.kind, entry.target, level, oracle);
+                branches.push(b);
+                if b.taken {
                     produced += 1;
                     segments.push(PlanSegment {
                         start: seg_start,
                         end: cur + INST_BYTES,
                     });
-                    let b = bubbles_for(level, entry.kind, &self.config.timing);
+                    let taken_bubbles = bubbles_for(level, b.kind, &self.config.timing);
                     if !self.skip_taken || produced >= self.width {
                         return FetchPlan {
                             access_pc: pc,
                             segments,
                             branches,
-                            next_pc: target,
-                            bubbles: b,
+                            next_pc: b.target,
+                            bubbles: taken_bubbles,
                             end: PlanEnd::TakenBranch,
                             used_l2,
                         };
                     }
                     // Idealized Skp: keep producing fetch PCs at the target.
-                    bubbles = bubbles.max(b);
-                    seg_start = target;
-                    cur = target;
+                    bubbles = bubbles.max(taken_bubbles);
+                    seg_start = b.target;
+                    cur = b.target;
                     continue;
                 }
             }
@@ -192,17 +166,7 @@ impl BtbOrganization for InstructionBtb {
     }
 
     fn inspect(&self) -> BtbInspection {
-        let level = |s: &crate::storage::SetAssoc<IEntry>| {
-            let mut counts: HashMap<u64, u64> = HashMap::new();
-            for (k, _) in s.iter() {
-                *counts.entry(k).or_insert(0) += 1;
-            }
-            LevelInspection::from_branch_map(s.len(), s.capacity(), 1, &counts)
-        };
-        BtbInspection {
-            l1: level(self.store.l1()),
-            l2: self.store.l2().map(level).unwrap_or_default(),
-        }
+        BtbInspection::of(&self.store, 1, |k, _, add| add(k << 2))
     }
 }
 

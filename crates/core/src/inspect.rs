@@ -1,6 +1,9 @@
 //! BTB content inspection: the occupancy and redundancy statistics the paper
 //! samples every 1M instructions (§5).
 
+use crate::hierarchy::TwoLevel;
+use crate::storage::SetAssoc;
+use btb_trace::Addr;
 use std::collections::HashMap;
 
 /// Snapshot statistics of one BTB level's contents.
@@ -70,6 +73,29 @@ pub struct BtbInspection {
     pub l1: LevelInspection,
     /// Second level (all-zero when absent).
     pub l2: LevelInspection,
+}
+
+impl BtbInspection {
+    /// Inspects every level of `store`, whose entries track at most `max`
+    /// branches each; `branches(key, entry, add)` calls `add` once per
+    /// branch PC the entry tracks.
+    pub(crate) fn of<E: Clone>(
+        store: &TwoLevel<E>,
+        max: usize,
+        branches: impl Fn(u64, &E, &mut dyn FnMut(Addr)),
+    ) -> Self {
+        let level = |table: &SetAssoc<E>| {
+            let mut counts: HashMap<u64, u64> = HashMap::new();
+            for (k, e) in table.iter() {
+                branches(k, e, &mut |pc| *counts.entry(pc).or_insert(0) += 1);
+            }
+            LevelInspection::from_branch_map(table.len(), table.capacity(), max, &counts)
+        };
+        BtbInspection {
+            l1: level(store.l1()),
+            l2: store.l2().map(level).unwrap_or_default(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,13 +7,20 @@
 //! * [`InstructionBtb`] (I-BTB) — one entry per branch, banked lookups;
 //!   includes the width-8 and idealized "Skp" variants of §5;
 //! * [`RegionBtb`] (R-BTB) — one entry per aligned region with branch
-//!   slots; includes 2L1 even/odd interleaving (§6.2) and 128 B regions;
+//!   slots; includes 2L1 even/odd interleaving (§6.2), 128 B regions and,
+//!   for [`OrgKind::RegionOverflow`], §3.5's shared overflow slots;
 //! * [`BlockBtb`] (B-BTB) — one entry per dynamic block, with optional
 //!   entry splitting (§6.3);
 //! * [`MultiBlockBtb`] (MB-BTB, §6.4) — chains target blocks of
 //!   unconditional/stable branches into single entries;
 //! * [`HeteroBtb`] — a heterogeneous Block-L1 / Region-L2 hierarchy, the
 //!   direction the paper's §3.6.2 leaves as future work.
+//!
+//! The two slotted entry formats are each implemented once, as a level: a
+//! region level (region entries, optional overflow pool) and a block level
+//! (block entries, splitting, the retire-side block tracker). R-BTB runs
+//! the region level over a whole hierarchy, B-BTB the block level, and
+//! Hetero a block-level L1 over a region-level L2.
 //!
 //! Every organization runs over a two-level hierarchy ([`TwoLevel`]) of
 //! set-associative storage ([`SetAssoc`]) with the paper's Table 1 timing:
@@ -54,7 +61,7 @@ mod org;
 mod plan;
 mod probe;
 mod rbtb;
-mod rbtb_overflow;
+mod slot;
 mod storage;
 
 pub use bbtb::BlockBtb;
@@ -68,7 +75,6 @@ pub use org::{bubbles_for, BtbOrganization};
 pub use plan::{FetchPlan, FixedOracle, PlanEnd, PlanSegment, PlannedBranch, PredictionProvider};
 pub use probe::{BranchProbe, BtbState, LevelState};
 pub use rbtb::RegionBtb;
-pub use rbtb_overflow::RegionOverflowBtb;
 pub use storage::SetAssoc;
 
 /// Builds the organization described by `config`.
@@ -86,8 +92,7 @@ pub use storage::SetAssoc;
 pub fn build_btb(config: BtbConfig) -> Box<dyn BtbOrganization> {
     match config.kind {
         OrgKind::Instruction { .. } => Box::new(InstructionBtb::new(config)),
-        OrgKind::Region { .. } => Box::new(RegionBtb::new(config)),
-        OrgKind::RegionOverflow { .. } => Box::new(RegionOverflowBtb::new(config)),
+        OrgKind::Region { .. } | OrgKind::RegionOverflow { .. } => Box::new(RegionBtb::new(config)),
         OrgKind::Block { .. } => Box::new(BlockBtb::new(config)),
         OrgKind::HeteroBlockRegion { .. } => Box::new(HeteroBtb::new(config)),
         OrgKind::MultiBlock { .. } => Box::new(MultiBlockBtb::new(config)),

@@ -12,12 +12,11 @@
 
 use crate::config::{BtbConfig, BtbLevel, OrgKind, PullPolicy};
 use crate::hierarchy::TwoLevel;
-use crate::inspect::{BtbInspection, LevelInspection};
+use crate::inspect::BtbInspection;
 use crate::org::{bubbles_for, BtbOrganization};
 use crate::plan::{FetchPlan, PlanEnd, PlanSegment, PlannedBranch, PredictionProvider};
 use crate::probe::{BranchProbe, BtbState};
 use btb_trace::{Addr, BranchKind, TraceRecord, INST_BYTES};
-use std::collections::HashMap;
 
 /// One branch slot of a MultiBlock entry (Fig. 6: `br_type`, `br_offset`,
 /// `br_target`, `br_blk_id`, `br_follow`, `br_stabl_ctr`).
@@ -639,23 +638,13 @@ impl BtbOrganization for MultiBlockBtb {
     }
 
     fn inspect(&self) -> BtbInspection {
-        let slots = self.slots;
-        let level = |s: &crate::storage::SetAssoc<MbEntry>| {
-            let mut counts: HashMap<u64, u64> = HashMap::new();
-            for (_k, e) in s.iter() {
-                for slot in &e.slots {
-                    if let Some(start) = e.block_starts.get(usize::from(slot.blk)) {
-                        let pc = start + u64::from(slot.offset) * INST_BYTES;
-                        *counts.entry(pc).or_insert(0) += 1;
-                    }
+        BtbInspection::of(&self.store, self.slots, |_, e, add| {
+            for slot in &e.slots {
+                if let Some(start) = e.block_starts.get(usize::from(slot.blk)) {
+                    add(start + u64::from(slot.offset) * INST_BYTES);
                 }
             }
-            LevelInspection::from_branch_map(s.len(), s.capacity(), slots, &counts)
-        };
-        BtbInspection {
-            l1: level(self.store.l1()),
-            l2: self.store.l2().map(level).unwrap_or_default(),
-        }
+        })
     }
 }
 

@@ -7,7 +7,8 @@
 //! simulator consumes plans against the trace, charging misfetch and
 //! misprediction penalties where the plan and the actual path disagree.
 
-use crate::config::BtbLevel;
+use crate::config::{BtbLevel, BtbTiming};
+use crate::org::bubbles_for;
 use btb_trace::{Addr, BranchKind, INST_BYTES};
 
 /// A branch the BTB access saw and predicted.
@@ -24,6 +25,39 @@ pub struct PlannedBranch {
     pub target: Addr,
     /// Level of the entry that provided the branch.
     pub level: BtbLevel,
+}
+
+impl PlannedBranch {
+    /// Predicts the tracked branch at `pc` whose entry, provided by
+    /// `level`, stores `kind` and `target`; a predicted-taken call is
+    /// noted with the oracle.
+    #[inline]
+    pub(crate) fn predict(
+        pc: Addr,
+        kind: BranchKind,
+        target: Addr,
+        level: BtbLevel,
+        oracle: &mut dyn PredictionProvider,
+    ) -> Self {
+        let (taken, target) = match kind {
+            BranchKind::CondDirect => (oracle.predict_cond(pc), target),
+            BranchKind::UncondDirect | BranchKind::DirectCall => (true, target),
+            BranchKind::IndirectJump | BranchKind::IndirectCall => {
+                (true, oracle.predict_indirect(pc).unwrap_or(target))
+            }
+            BranchKind::Return => (true, oracle.predict_return(pc).unwrap_or(target)),
+        };
+        if kind.is_call() && taken {
+            oracle.note_call(pc + INST_BYTES);
+        }
+        PlannedBranch {
+            pc,
+            kind,
+            taken,
+            target,
+            level,
+        }
+    }
 }
 
 /// One contiguous range of fetch PCs produced by an access.
@@ -94,6 +128,41 @@ impl FetchPlan {
             bubbles: 0,
             end: PlanEnd::WindowEnd,
             used_l2: false,
+        }
+    }
+
+    /// A one-segment plan from `access_pc`. When the last of `branches` is
+    /// predicted taken, the plan ends there and pays that branch's bubbles
+    /// plus `extra_bubbles`; otherwise it runs sequentially to `window_end`.
+    #[inline]
+    pub(crate) fn one_segment(
+        access_pc: Addr,
+        branches: Vec<PlannedBranch>,
+        window_end: Addr,
+        used_l2: bool,
+        timing: &BtbTiming,
+        extra_bubbles: u32,
+    ) -> Self {
+        let (end, next_pc, bubbles, why) = match branches.last() {
+            Some(b) if b.taken => (
+                b.pc + INST_BYTES,
+                b.target,
+                bubbles_for(b.level, b.kind, timing) + extra_bubbles,
+                PlanEnd::TakenBranch,
+            ),
+            _ => (window_end, window_end, 0, PlanEnd::WindowEnd),
+        };
+        FetchPlan {
+            access_pc,
+            segments: vec![PlanSegment {
+                start: access_pc,
+                end,
+            }],
+            branches,
+            next_pc,
+            bubbles,
+            end: why,
+            used_l2,
         }
     }
 

@@ -307,6 +307,10 @@ impl Iterator for TraceExecutor<'_> {
 }
 
 /// A named in-memory dynamic trace.
+///
+/// The trace readers ([`crate::read_trace`], [`crate::TraceReader`])
+/// reject addresses above [`crate::MAX_CODE_ADDR`]; traces built in code
+/// are not checked.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Workload name the trace was generated from. Shared (`Arc<str>`) so

@@ -136,7 +136,7 @@ fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<TraceRecord, ReadTraceError
     {
         return Err(ReadTraceError::Corrupt("register"));
     }
-    Ok(TraceRecord {
+    let rec = TraceRecord {
         pc,
         op,
         taken,
@@ -144,7 +144,11 @@ fn decode_record(buf: &[u8; RECORD_BYTES]) -> Result<TraceRecord, ReadTraceError
         mem_addr,
         srcs: [buf[26], buf[27], buf[28]],
         dsts: [buf[29], buf[30]],
-    })
+    };
+    if !rec.in_code_range() {
+        return Err(ReadTraceError::Corrupt("address"));
+    }
+    Ok(rec)
 }
 
 /// Incremental trace encoder: writes the stream header up front, then
@@ -431,6 +435,50 @@ mod tests {
         let reader = TraceReader::new(buf.as_slice()).expect("header");
         let last = reader.last().expect("at least one item");
         assert!(matches!(last, Err(ReadTraceError::Io(_))));
+    }
+
+    #[test]
+    fn code_at_the_top_of_the_address_space_is_corrupt() {
+        // A loop through the last 32 bytes of the address space: once
+        // stored, it used to hang the simulator in every organization.
+        let base = 0xffff_ffff_ffff_ffe0;
+        let mut records = vec![TraceRecord::branch(
+            0x1000,
+            BranchKind::UncondDirect,
+            true,
+            base,
+        )];
+        records.extend((0..4).map(|i| TraceRecord::nop(base + i * 4)));
+        records.push(TraceRecord::branch(
+            base + 16,
+            BranchKind::UncondDirect,
+            true,
+            0x1000,
+        ));
+        let t = Trace {
+            name: "top".into(),
+            records,
+        };
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &t).expect("write");
+        let err = read_trace(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, ReadTraceError::Corrupt("address")), "{err}");
+        let mut reader = TraceReader::new(buf.as_slice()).expect("header");
+        let err = reader.next().expect("first").unwrap_err();
+        assert!(matches!(err, ReadTraceError::Corrupt("address")), "{err}");
+        assert!(reader.next().is_none(), "reader fuses after an error");
+        // The last address below the reserved MiB still decodes.
+        let edge = TraceRecord::nop(crate::record::MAX_CODE_ADDR & !3);
+        let t = Trace {
+            name: "edge".into(),
+            records: vec![edge],
+        };
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &t).expect("write");
+        assert_eq!(
+            read_trace(buf.as_slice()).expect("read").records,
+            vec![edge]
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use io::{
 };
 pub use mutate::{random_mutations, TraceMutation};
 pub use profile::{server_suite, WorkloadProfile};
-pub use record::{Addr, BranchKind, Op, TraceRecord, INST_BYTES, NO_REG, NUM_REGS};
+pub use record::{Addr, BranchKind, Op, TraceRecord, INST_BYTES, MAX_CODE_ADDR, NO_REG, NUM_REGS};
 pub use stats::{footprint_for_coverage, ideal_icache_mpki, TraceStats};
 
 /// Re-exported module path for profile helpers (`profiles::server_suite`).

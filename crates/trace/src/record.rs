@@ -13,6 +13,13 @@ pub type Addr = u64;
 /// Size in bytes of every instruction (fixed-length, ARMv8-like).
 pub const INST_BYTES: u64 = 4;
 
+/// The highest pc or branch target a trace or reproducer read from bytes
+/// may hold. The last MiB of the address space is rejected: every window
+/// the BTB organizations derive from a code address (plan windows and
+/// preload regions, at most 512 B) must end below the top of the address
+/// space, where address arithmetic would wrap or overflow.
+pub const MAX_CODE_ADDR: Addr = u64::MAX - (1 << 20);
+
 /// Register index used to mean "no register".
 pub const NO_REG: u8 = u8::MAX;
 
@@ -150,6 +157,13 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    /// Whether neither the pc nor the target lies above [`MAX_CODE_ADDR`],
+    /// the rule the trace and reproducer readers enforce.
+    #[must_use]
+    pub fn in_code_range(&self) -> bool {
+        self.pc <= MAX_CODE_ADDR && self.target <= MAX_CODE_ADDR
+    }
+
     /// A non-branch ALU record with no register operands, useful in tests.
     #[must_use]
     pub fn nop(pc: Addr) -> Self {
